@@ -14,7 +14,6 @@ from .auctions import (
     AUCTION_NAMES,
     DETERMINISTIC_AUCTIONS,
     DerandState,
-    OfferProbabilities,
     derand_modulus,
     derand_offer,
     derand_run,
@@ -77,7 +76,6 @@ __all__ = [
     "LOW_VALUE",
     "LossProfile",
     "MaskedBidVector",
-    "OfferProbabilities",
     "OfferSchedule",
     "SurdSum",
     "additive_loss",

@@ -29,7 +29,7 @@ from .auctions import (
     require_divisible,
     run_auction,
 )
-from .core import AuctionParams, BidVector, count_high, offline_optimal
+from .core import LOW_VALUE, AuctionParams, BidVector, count_high, offline_optimal
 from .exact import SurdSum
 from .rng import stream_generator
 
@@ -38,6 +38,13 @@ Loss = Union[int, SurdSum]
 DEFAULT_ENUMERATION_LIMIT = 20
 _MC_CHUNK = 1 << 14
 _NEG_INF = np.int64(-(1 << 60))
+
+# The int64 arithmetic of the vector kernels and of the chunk reductions is
+# exact while h * n <= 2**24.  Every benchmark value, revenue and loss is at
+# most h*n; the modular hash i + X + (b-1)*Y is at most n**2 + h*n**1.5 <
+# 2**47; and the largest sum, a Monte Carlo chunk's squared revenues, is at
+# most _MC_CHUNK * (h*n)**2 <= 2**62.
+KERNEL_HN_LIMIT = 1 << 24
 
 
 class IdentityCheckError(Exception):
@@ -88,6 +95,28 @@ class LossProfile:
 
 def _normalize(loss: Loss, n: int, h: int) -> SurdSum:
     return SurdSum.of(loss) * SurdSum.multiple(Fraction(1, n * h), n * h)
+
+
+def _require_kernel_domain(n: int, h: int) -> None:
+    if h * n > KERNEL_HN_LIMIT:
+        raise ValueError(
+            f"h*n = {h * n} is outside the int64 kernel domain h*n <= {KERNEL_HN_LIMIT}"
+        )
+
+
+def _mask_ranges(n: int, chunk_bits: int = 16) -> list[tuple[int, int]]:
+    total = 1 << n
+    step = min(total, 1 << chunk_bits)
+    return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
+
+
+def _map_chunks(fn, jobs: list, threads: Optional[int]) -> list:
+    """fn over jobs in order, on a thread pool only when there is more than one job."""
+    workers = min(threads or 1, len(jobs))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, jobs))
+    return [fn(job) for job in jobs]
 
 
 def _sweep_chunk(auction: str, n: int, h: int, lo: int, hi: int):
@@ -143,14 +172,10 @@ def worst_case_sweep(
             params, auction, per_nh, global_worst, witness, _normalize(global_worst, n, h)
         )
 
-    total = 1 << n
-    step = min(total, 1 << chunk_bits)
-    ranges = [(lo, min(lo + step, total)) for lo in range(0, total, step)]
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(lambda r: _sweep_chunk(auction, n, h, *r), ranges))
-    else:
-        chunks = [_sweep_chunk(auction, n, h, lo, hi) for lo, hi in ranges]
+    _require_kernel_domain(n, h)
+    chunks = _map_chunks(
+        lambda r: _sweep_chunk(auction, n, h, *r), _mask_ranges(n, chunk_bits), threads
+    )
 
     per_k_all = np.full(params.n + 1, _NEG_INF, dtype=np.int64)
     worst = None
@@ -245,17 +270,21 @@ def block_structure_check(b: BidVector, offers: Optional[tuple[int, ...]] = None
 def block_structure_sweep(
     params: AuctionParams, *, limit: int = DEFAULT_ENUMERATION_LIMIT
 ) -> tuple[int, Optional[tuple[BidVector, BlockViolation]]]:
-    """Run the block checker on every vector; (count checked, first failure)."""
-    if params.n > limit:
-        raise ValueError(f"n={params.n} exceeds enumeration limit {limit}")
-    checked = 0
-    for mask in range(1 << params.n):
-        b = BidVector(params, mask)
-        result = block_structure_check(b)
-        checked += 1
-        if not result.ok:
-            return checked, (b, result.violation)
-    return checked, None
+    """Run the block checker on every vector, with the offers taken from the
+    vector kernel; (count checked, first failure)."""
+    n, h = params.n, params.h
+    if n > limit:
+        raise ValueError(f"n={n} exceeds enumeration limit {limit}")
+    _require_kernel_domain(n, h)
+    for lo, hi in _mask_ranges(n):
+        offered_h = enumeration.offers_for_bidder(enumeration.mask_array(lo, hi), n, h, "derand")
+        rows = np.where(offered_h, h, LOW_VALUE).T.tolist()
+        for mask, offers in zip(range(lo, hi), rows):
+            b = BidVector(params, mask)
+            result = block_structure_check(b, offers=tuple(offers))
+            if not result.ok:
+                return mask + 1, (b, result.violation)
+    return 1 << n, None
 
 
 # ---------------------------------------------------------------------------
@@ -278,14 +307,21 @@ def bid_independence_violations(
     if n > limit:
         raise ValueError(f"n={n} exceeds enumeration limit {limit}")
     masks = enumeration.mask_array(0, 1 << n)
+    if auction == "random":
+        k = enumeration.popcount(masks)
+        fields = (k - ((masks >> (i - 1)) & 1) for i in range(1, n + 1))
+    else:
+        _require_kernel_domain(n, h)
+        # one kernel call per mask range, as the sweep makes, so that no
+        # single array grows to n * 2**n entries
+        chunks = [
+            enumeration.offers_for_bidder(enumeration.mask_array(lo, hi), n, h, auction)
+            for lo, hi in _mask_ranges(n)
+        ]
+        fields = (np.concatenate([chunk[i] for chunk in chunks]) for i in range(n))
     violations = []
-    for i in range(1, n + 1):
-        bit = 1 << (i - 1)
-        if auction == "random":
-            field = enumeration.popcount(masks) - ((masks >> (i - 1)) & 1)
-        else:
-            field = enumeration.offers_for_bidder(masks, n, h, i, auction)
-        flipped = field[masks ^ bit]
+    for i, field in enumerate(fields, start=1):
+        flipped = field[masks ^ (1 << (i - 1))]
         diff = field != flipped
         if diff.any():
             violations.append((i, BidVector(params, int(masks[diff][0]))))
@@ -373,26 +409,6 @@ class DistributionDReport:
     gap: Optional[Fraction]
 
 
-def _derand_revenues_matrix(high: np.ndarray, n: int, h: int) -> np.ndarray:
-    rows = high.shape[0]
-    k = high.sum(axis=1, dtype=np.int64)
-    idx = np.arange(1, n + 1, dtype=np.int64)
-    index_sum = (high * idx).sum(axis=1, dtype=np.int64)
-    moduli = np.array([derand_modulus(h, m) for m in range(n + 1)], dtype=np.int64)
-    revenue = np.zeros(rows, dtype=np.int64)
-    seen_high = np.zeros(rows, dtype=np.int64)
-    for i in range(1, n + 1):
-        bit = high[:, i - 1].astype(np.int64)
-        nh_i = k - bit
-        a = h * nh_i - n
-        b_val = moduli[nh_i]
-        x = index_sum - i * bit
-        z = (i + x + (b_val - 1) * seen_high) % b_val
-        revenue += np.where(z < a, np.where(bit == 1, h, 0), 1)
-        seen_high += bit
-    return revenue
-
-
 def _sample_revenues(
     rng: np.random.Generator, n: int, h: int, auction: str, rows: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -400,15 +416,8 @@ def _sample_revenues(
     high = rng.integers(0, h, size=(rows, n)) == 0
     k = high.sum(axis=1, dtype=np.int64)
     opt = np.maximum(n, h * k)
-    if auction == "dop":
-        revenue = (n - k) * np.where(h * k >= n - 1, 0, 1) + k * np.where(
-            h * (k - 1) >= n - 1, h, 1
-        )
-    elif auction == "threshold-dop":
-        t = n // h
-        revenue = (n - k) * np.where(k >= t, 0, 1) + k * np.where(k - 1 >= t, h, 1)
-    elif auction == "derand":
-        revenue = _derand_revenues_matrix(high, n, h)
+    if auction == "derand":
+        revenue = enumeration.derand_revenues(np.ascontiguousarray(high.T), h)
     elif auction == "random":
         thresholds = np.zeros(n + 1, dtype=np.uint64)
         always = np.zeros(n + 1, dtype=bool)
@@ -424,7 +433,7 @@ def _sample_revenues(
         pay = np.where(offered_h, np.where(high, h, 0), 1)
         revenue = pay.sum(axis=1, dtype=np.int64)
     else:
-        raise ValueError(f"unknown auction {auction!r}; expected one of {AUCTION_NAMES}")
+        revenue = enumeration.count_revenues(k, n, h, enumeration.count_threshold(auction, n, h))
     return revenue, opt
 
 
@@ -459,6 +468,7 @@ def monte_carlo_under_d(
     if auction == "threshold-dop":
         require_divisible(n, h)
     AuctionParams(n, h)  # validate
+    _require_kernel_domain(n, h)
 
     sizes = []
     remaining = samples
@@ -477,12 +487,7 @@ def monte_carlo_under_d(
             int((opt * opt).sum(dtype=np.int64)),
         )
 
-    jobs = list(enumerate(sizes))
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(one_chunk, jobs))
-    else:
-        parts = [one_chunk(job) for job in jobs]
+    parts = _map_chunks(one_chunk, list(enumerate(sizes)), threads)
 
     total = total_sq = opt_total = opt_sq = 0
     for rev_sum, rev_sq, o_sum, o_sq in parts:

@@ -82,37 +82,6 @@ def random_offer_probability(m: MaskedBidVector) -> SurdSum:
     return offer_probability_by_count(params.n, params.h, count_high_excluding(m))
 
 
-@dataclass(frozen=True)
-class OfferProbabilities:
-    """The per-class offer probabilities (p_low_gets_one, p_high_gets_one, p_high_gets_h)."""
-
-    p_low_gets_one: SurdSum
-    p_high_gets_one: SurdSum
-    p_high_gets_h: SurdSum
-
-    def __post_init__(self) -> None:
-        if not (self.p_high_gets_one + self.p_high_gets_h).is_rational or (
-            self.p_high_gets_one + self.p_high_gets_h
-        ).as_fraction() != 1:
-            raise ValueError("high-bidder offer probabilities must sum to 1")
-        for p in (self.p_low_gets_one, self.p_high_gets_one, self.p_high_gets_h):
-            if p.sign() < 0 or p > 1:
-                raise ValueError(f"probability {p!r} outside [0, 1]")
-
-    @classmethod
-    def from_counts(cls, n: int, h: int, n_high: int) -> "OfferProbabilities":
-        """Class probabilities on a vector with n_high high bids (n_high >= 1)."""
-        if n_high < 1:
-            raise ValueError("a high-bidder class needs n_high >= 1")
-        p_low_h = offer_probability_by_count(n, h, n_high)
-        p_high_h = offer_probability_by_count(n, h, n_high - 1)
-        return cls(
-            p_low_gets_one=SurdSum.of(1) - p_low_h,
-            p_high_gets_one=SurdSum.of(1) - p_high_h,
-            p_high_gets_h=p_high_h,
-        )
-
-
 @lru_cache(maxsize=None)
 def expected_revenue_by_count(n: int, h: int, n_high: int) -> SurdSum:
     """Exact expected revenue of the randomized auction on any vector with
@@ -210,22 +179,8 @@ def derand_offer(m: MaskedBidVector) -> int:
 
 
 def derand_run(b: BidVector) -> OfferSchedule:
-    """Apply the derandomized rule to every bidder in O(n) total."""
-    n, h = b.n, b.h
-    nh = count_high(b)
-    index_sum = sum(j for j in range(1, n + 1) if b.is_high(j))
-    offers = []
-    seen_high = 0  # high bidders with index < i
-    for i in range(1, n + 1):
-        high = b.is_high(i)
-        nh_i = nh - int(high)
-        a = h * nh_i - n
-        b_val = derand_modulus(h, nh_i)
-        x = index_sum - (i if high else 0)
-        z = (i + x + (b_val - 1) * seen_high) % b_val
-        offers.append(h if z < a else LOW_VALUE)
-        seen_high += int(high)
-    return settle(b, offers)
+    """Settle b under the derandomized rule, one bidder at a time."""
+    return run_auction(b, "derand")
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +206,5 @@ def offer_rule(auction: str):
 
 def run_auction(b: BidVector, auction: str) -> OfferSchedule:
     """Run a named deterministic auction on b."""
-    if auction == "derand":
-        return derand_run(b)
     rule = offer_rule(auction)
     return settle(b, [rule(b.mask_bidder(i)) for i in range(1, b.n + 1)])

@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from typing import Optional
 
 from . import analysis, reports
@@ -123,10 +122,6 @@ def build_parser() -> _Parser:
 # ---------------------------------------------------------------------------
 
 
-def _normalized(loss, n: int, h: int) -> SurdSum:
-    return SurdSum.of(loss) * SurdSum.multiple(Fraction(1, n * h), n * h)
-
-
 def _sweep_rows(ns: argparse.Namespace) -> list[dict]:
     params = AuctionParams(ns.n, ns.h)
     profile = analysis.worst_case_sweep(params, ns.auction, limit=ns.limit, threads=ns.threads)
@@ -168,7 +163,7 @@ def _demo_dop_rows(ns: argparse.Namespace) -> list[dict]:
         opt=n,
         revenue=t,
         loss=n - t,
-        normalized_loss=_normalized(n - t, n, ns.h),
+        normalized_loss=analysis._normalize(n - t, n, ns.h),
     )
     row["ratio"] = reports.fraction_json(ratio)
     return [row]
@@ -186,7 +181,7 @@ def _dist_d_rows(ns: argparse.Namespace) -> list[dict]:
         opt=e_opt,
         revenue=e_dop,
         loss=gap,
-        normalized_loss=_normalized(gap, ns.n, ns.h),
+        normalized_loss=analysis._normalize(gap, ns.n, ns.h),
         gap_exact_num=gap.numerator,
         gap_exact_den=gap.denominator,
     )
@@ -267,7 +262,7 @@ def _expectation_rows(ns: argparse.Namespace) -> list[dict]:
             opt=opt,
             revenue=expectation,
             loss=loss,
-            normalized_loss=_normalized(loss, ns.n, ns.h),
+            normalized_loss=analysis._normalize(loss, ns.n, ns.h),
         )
         if ns.bids is not None:
             row["bids"] = ns.bids

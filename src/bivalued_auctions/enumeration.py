@@ -1,16 +1,27 @@
-"""Vectorized evaluation of the auctions over ranges of bid masks.
+"""The vector form of the deterministic offer rules: one kernel per auction.
 
-A mask encodes one bid vector (bit i-1 set <=> bidder i bids high).  The
-kernels below compute whole-revenue arrays for contiguous mask ranges so the
-exhaustive sweeps stay seconds-scale at n = 20; they must agree bit-for-bit
-with the per-bidder rules in auctions.py, which the test suite checks.
+The scalar rules in auctions.py define each auction one bidder at a time.
+The kernels here apply the same rules to many bid vectors at once.  The
+sweeps, Monte Carlo and the truthfulness and block checks of the
+deterministic auctions all call them, and the test suite holds them equal to
+the scalar rules.
+
+- DOP and threshold-DOP offer h iff n_h(i) >= t for a count threshold t
+  (`count_threshold`), so their revenue is a function of the high count k
+  alone (`count_revenues`).
+- The derandomized rule depends on the bids themselves: `derand_offers`
+  walks a bidder-major (n, rows) boolean high matrix once.
+
+A mask encodes one bid vector (bit i-1 set <=> bidder i bids high).
 """
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 
-from .auctions import derand_modulus
+from .auctions import derand_modulus, require_divisible
 from .core import LOW_VALUE
 
 
@@ -22,11 +33,19 @@ def popcount(masks: np.ndarray) -> np.ndarray:
     return np.bitwise_count(masks.astype(np.uint64)).astype(np.int64)
 
 
-def high_index_sum(masks: np.ndarray, n: int) -> np.ndarray:
-    """sum of 1-based indices of high bidders, per mask."""
-    total = np.zeros(masks.shape, dtype=np.int64)
-    for i in range(1, n + 1):
-        total += i * ((masks >> (i - 1)) & 1)
+def high_matrix(masks: np.ndarray, n: int) -> np.ndarray:
+    """Bidder-major bids: row i-1 says, per mask, whether bidder i bids high."""
+    high = np.empty((n, len(masks)), dtype=bool)
+    for i, row in enumerate(high):
+        row[:] = (masks >> i) & 1
+    return high
+
+
+def high_index_sum(high: np.ndarray) -> np.ndarray:
+    """Sum of the 1-based indices of the high bidders, per column of high."""
+    total = np.zeros(high.shape[1], dtype=np.int64)
+    for i, bit in enumerate(high, start=1):
+        total += i * bit
     return total
 
 
@@ -42,67 +61,75 @@ def lex_keys(masks: np.ndarray, n: int) -> np.ndarray:
     return keys
 
 
-def revenues_dop(masks: np.ndarray, n: int, h: int) -> np.ndarray:
-    k = popcount(masks)
-    low_pay = np.where(h * k >= n - 1, 0, 1)  # low bidders offered h pay 0
-    high_pay = np.where(h * (k - 1) >= n - 1, h, 1)
-    return (n - k) * low_pay + k * high_pay
+def count_threshold(auction: str, n: int, h: int) -> int:
+    """The least n_h(i) at which DOP or threshold-DOP offers h."""
+    if auction == "dop":
+        return -(-(n - 1) // h)  # h * n_h(i) >= n - 1
+    if auction == "threshold-dop":
+        require_divisible(n, h)
+        return n // h
+    raise ValueError(f"{auction!r} is not a count-threshold auction")
 
 
-def revenues_threshold_dop(masks: np.ndarray, n: int, h: int) -> np.ndarray:
-    t = n // h
-    k = popcount(masks)
-    low_pay = np.where(k >= t, 0, 1)
-    high_pay = np.where(k - 1 >= t, h, 1)
-    return (n - k) * low_pay + k * high_pay
+def count_revenues(k: np.ndarray, n: int, h: int, t: int) -> np.ndarray:
+    """Revenue of the count-threshold rule on vectors with k high bids.
+
+    A low bidder sees k high bids and pays 1 unless offered h; a high bidder
+    sees k - 1 and pays h if offered h, else 1.
+    """
+    return (n - k) * (k < t) + k * np.where(k > t, h, LOW_VALUE)
 
 
-def revenues_derand(masks: np.ndarray, n: int, h: int) -> np.ndarray:
-    k = popcount(masks)
-    index_sum = high_index_sum(masks, n)
+def derand_offers(high: np.ndarray, h: int) -> Iterator[np.ndarray]:
+    """Per bidder i = 1..n, whether the modular rule offers h, over the
+    columns of the bidder-major (n, rows) boolean matrix `high`.
+
+    One walk over the bidders keeps Y, the number of high bidders before i,
+    so each column costs O(rows).
+    """
+    n = len(high)
+    k = high.sum(axis=0, dtype=np.int64)
+    index_sum = high_index_sum(high)
     moduli = np.array([derand_modulus(h, m) for m in range(n + 1)], dtype=np.int64)
-    revenue = np.zeros(masks.shape, dtype=np.int64)
-    seen_high = np.zeros(masks.shape, dtype=np.int64)
-    for i in range(1, n + 1):
-        bit = (masks >> (i - 1)) & 1
+    seen_high = np.zeros_like(k)
+    for i, bit in enumerate(high, start=1):
         nh_i = k - bit
-        a = h * nh_i - n
         b_val = moduli[nh_i]
         x = index_sum - i * bit
         z = (i + x + (b_val - 1) * seen_high) % b_val
-        offered_h = z < a
-        revenue += np.where(offered_h, np.where(bit == 1, h, 0), 1)
+        yield z < h * nh_i - n
         seen_high += bit
+
+
+def derand_revenues(high: np.ndarray, h: int) -> np.ndarray:
+    """Revenue of the derandomized auction on every column of `high`."""
+    revenue = np.zeros(high.shape[1], dtype=np.int64)
+    for bit, offered_h in zip(high, derand_offers(high, h)):
+        revenue += np.where(offered_h, h * bit, LOW_VALUE)
     return revenue
 
 
+def _count_kernel(auction: str):
+    def revenues(masks: np.ndarray, n: int, h: int) -> np.ndarray:
+        return count_revenues(popcount(masks), n, h, count_threshold(auction, n, h))
+
+    return revenues
+
+
 REVENUE_KERNELS = {
-    "dop": revenues_dop,
-    "threshold-dop": revenues_threshold_dop,
-    "derand": revenues_derand,
+    "dop": _count_kernel("dop"),
+    "threshold-dop": _count_kernel("threshold-dop"),
+    "derand": lambda masks, n, h: derand_revenues(high_matrix(masks, n), h),
 }
 
 
-def offers_for_bidder(masks: np.ndarray, n: int, h: int, i: int, auction: str) -> np.ndarray:
-    """Offer made to bidder i on every mask, as values in {1, h}."""
-    k = popcount(masks)
-    bit = (masks >> (i - 1)) & 1
-    nh_i = k - bit
-    if auction == "dop":
-        offered_h = h * nh_i >= n - 1
-    elif auction == "threshold-dop":
-        if n % h != 0:
-            raise ValueError(f"h={h} must divide n={n}")
-        offered_h = nh_i >= n // h
-    elif auction == "derand":
-        moduli = np.array([derand_modulus(h, m) for m in range(n + 1)], dtype=np.int64)
-        a = h * nh_i - n
-        b_val = moduli[nh_i]
-        x = high_index_sum(masks, n) - i * bit
-        below = masks & ((1 << (i - 1)) - 1)
-        y = popcount(below)
-        z = (i + x + (b_val - 1) * y) % b_val
-        offered_h = z < a
+def offers_for_bidder(masks: np.ndarray, n: int, h: int, auction: str) -> np.ndarray:
+    """Whether each bidder is offered h on every mask: an (n, len(masks))
+    boolean matrix whose row i-1 belongs to bidder i."""
+    if auction == "derand":
+        columns = derand_offers(high_matrix(masks, n), h)
     else:
-        raise ValueError(f"unknown deterministic auction {auction!r}")
-    return np.where(offered_h, h, LOW_VALUE)
+        t = count_threshold(auction, n, h)
+        k = popcount(masks)
+        columns = (k - ((masks >> i) & 1) >= t for i in range(n))
+    return np.stack(list(columns))

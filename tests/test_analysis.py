@@ -13,6 +13,8 @@ from bivalued_auctions import (
     IdentityCheckError,
     SurdSum,
     additive_loss,
+    all_vectors,
+    bid_independence_violations,
     block_structure_sweep,
     check_distribution_identities,
     count_high,
@@ -113,6 +115,35 @@ class TestWorstCaseSweep:
         worst_case_sweep(AuctionParams(5, 2), "derand", limit=5)
         with pytest.raises(ValueError):
             worst_case_sweep(AuctionParams(6, 2), "derand", limit=5)
+
+    @pytest.mark.parametrize("auction", ["dop", "derand"])
+    def test_largest_accepted_h_matches_scalar(self, auction):
+        n = 4
+        p = AuctionParams(n, analysis.KERNEL_HN_LIMIT // n)
+        want: dict[int, int] = {}
+        for b in all_vectors(p):
+            loss = additive_loss(b, auction)
+            want[count_high(b)] = max(want.get(count_high(b), loss), loss)
+        assert worst_case_sweep(p, auction).per_nh_worst == want
+
+    def test_beyond_int64_domain_rejected(self):
+        n = 4
+        p = AuctionParams(n, analysis.KERNEL_HN_LIMIT // n + 1)
+        assert additive_loss(BidVector.from_string(p, "HHLL"), "dop") == 0
+        calls = [
+            lambda: worst_case_sweep(p, "dop"),
+            lambda: worst_case_sweep(p, "derand"),
+            lambda: bid_independence_violations(p, "derand"),
+            lambda: block_structure_sweep(p),
+            lambda: monte_carlo_under_d(n, p.h, "random", 10, seed=1),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="int64"):
+                call()
+        # the randomized sweep is exact arithmetic, not a kernel
+        assert worst_case_sweep(p, "random").per_nh_worst[2] == additive_loss(
+            BidVector.from_string(p, "HHLL"), "random"
+        )
 
     def test_losses_reported_per_class_not_clamped_to_global(self):
         profile = worst_case_sweep(AuctionParams(8, 2), "derand")

@@ -14,7 +14,6 @@ from bivalued_auctions import (
     AUCTION_NAMES,
     AuctionParams,
     BidVector,
-    OfferProbabilities,
     SurdSum,
     count_high,
     dop_offer,
@@ -118,25 +117,6 @@ class TestOfferProbability:
         assert low == offer_probability_by_count(100, 10, 11)
         high = random_offer_probability(b.mask_bidder(1))
         assert high == offer_probability_by_count(100, 10, 10)
-
-
-class TestOfferProbabilities:
-    def test_from_counts_complementary(self):
-        probs = OfferProbabilities.from_counts(100, 10, 11)
-        assert probs.p_high_gets_one + probs.p_high_gets_h == 1
-        assert probs.p_high_gets_h == offer_probability_by_count(100, 10, 10)
-
-    def test_rejects_inconsistent(self):
-        with pytest.raises(ValueError):
-            OfferProbabilities(
-                p_low_gets_one=SurdSum.of(1),
-                p_high_gets_one=SurdSum.of(Fraction(1, 2)),
-                p_high_gets_h=SurdSum.of(Fraction(1, 3)),
-            )
-
-    def test_rejects_empty_high_class(self):
-        with pytest.raises(ValueError):
-            OfferProbabilities.from_counts(10, 2, 0)
 
 
 class TestExactExpectation:

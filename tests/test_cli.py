@@ -147,6 +147,17 @@ class TestExitCodes:
                   "--samples", "0", "--seed", "1"])
         assert info.value.code == 1
 
+    @pytest.mark.parametrize("argv", [
+        ("sweep", "--n", "4", "--h", str(1 << 62), "--auction", "dop"),
+        ("sweep", "--n", "4", "--h", str(1 << 62), "--auction", "derand"),
+        ("mc", "--n", "4", "--h", str(1 << 62), "--auction", "derand",
+         "--samples", "10", "--seed", "1"),
+    ])
+    def test_outside_int64_domain_is_one(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "int64" in err
+
     def test_perturbed_identity_is_two(self, capsys, monkeypatch):
         monkeypatch.setattr(analysis, "exact_e_dop_under_d", lambda n, h: Fraction(1))
         code, out, err = run_cli(capsys, "dist-d", "--n", "4", "--h", "2")
