@@ -11,7 +11,7 @@ from bivalued_auctions import (
     worst_case_sweep,
 )
 
-print("worst additive loss, exhaustive over all 2^n bid vectors")
+print("worst additive loss, exact over all 2^n bid vectors")
 print(f"{'n':>4} {'h':>3} {'dop':>6} {'derand':>7} {'random':>8} {'gap':>8} {'derand/sqrt(nh)':>16}")
 for h in (2, 3, 4):
     for n in range(h, 17, h):

@@ -5,9 +5,9 @@ implements the classic deterministic optimal-price auction, its threshold
 variant, a randomized bid-independent auction whose expected revenue trails
 the fixed-price benchmark max(n, h*n_high) by O(sqrt(n*h)), and a modular
 derandomization with the same guarantee per vector.  The analysis layer
-certifies both directions of the bound: exhaustive worst-case sweeps for the
-upper side, exact binomial identities under the hard i.i.d. distribution for
-the lower side.
+certifies both directions of the bound: exact worst-case sweeps over every
+bid vector, class by class, for the upper side, exact binomial identities
+under the hard i.i.d. distribution for the lower side.
 """
 
 from .auctions import (

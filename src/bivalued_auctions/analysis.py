@@ -14,7 +14,7 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, sqrt
+from math import comb, lcm, sqrt
 from typing import Optional, Union
 
 import numpy as np
@@ -36,6 +36,10 @@ from .rng import stream_generator
 Loss = Union[int, SurdSum]
 
 DEFAULT_ENUMERATION_LIMIT = 20
+# Hard cap on n for anything that walks all 2**n vectors, whatever its
+# limit: 2**30 vectors is hours of work, and the int64 masks and lex keys
+# stay exact far beyond it.
+ENUMERATION_CAP = 30
 _MC_CHUNK = 1 << 14
 _NEG_INF = np.int64(-(1 << 60))
 
@@ -104,6 +108,13 @@ def _require_kernel_domain(n: int, h: int) -> None:
         )
 
 
+def _require_enumerable(n: int, limit: int = ENUMERATION_CAP) -> None:
+    if n > ENUMERATION_CAP:
+        raise ValueError(f"n={n} exceeds the enumeration cap {ENUMERATION_CAP}")
+    if n > limit:
+        raise ValueError(f"n={n} exceeds enumeration limit {limit}")
+
+
 def _mask_ranges(n: int, chunk_bits: int = 16) -> list[tuple[int, int]]:
     total = 1 << n
     step = min(total, 1 << chunk_bits)
@@ -119,18 +130,28 @@ def _map_chunks(fn, jobs: list, threads: Optional[int]) -> list:
     return [fn(job) for job in jobs]
 
 
-def _sweep_chunk(auction: str, n: int, h: int, lo: int, hi: int):
-    masks = enumeration.mask_array(lo, hi)
-    k = enumeration.popcount(masks)
-    opt = np.maximum(n, h * k)
-    losses = opt - enumeration.REVENUE_KERNELS[auction](masks, n, h)
-    per_k = np.full(n + 1, _NEG_INF, dtype=np.int64)
-    np.maximum.at(per_k, k, losses)
-    worst = int(losses.max())
-    at_worst = masks[losses == worst]
-    keys = enumeration.lex_keys(at_worst, n)
-    j = int(np.argmin(keys))
-    return per_k, worst, int(keys[j]), int(at_worst[j])
+def _check_sweep_args(params: AuctionParams, auction: str) -> None:
+    if auction not in AUCTION_NAMES:
+        raise ValueError(f"unknown auction {auction!r}; expected one of {AUCTION_NAMES}")
+    if auction == "threshold-dop":
+        require_divisible(params.n, params.h)
+    if auction != "random":
+        _require_kernel_domain(params.n, params.h)
+
+
+def _lex_least(params: AuctionParams, k: int, index_sum: int) -> BidVector:
+    """The lexicographically least vector with k high bids at indices that
+    sum to index_sum: each bidder in turn bids low unless the remaining high
+    bids could no longer fit after it."""
+    n = params.n
+    mask = 0
+    for i in range(1, n + 1):
+        # k high bids among bidders i+1..n sum to at least k*(i+1) + k*(k-1)/2
+        if k and (k > n - i or index_sum < k * (i + 1) + k * (k - 1) // 2):
+            mask |= 1 << (i - 1)
+            k -= 1
+            index_sum -= i
+    return BidVector(params, mask)
 
 
 def worst_case_sweep(
@@ -139,55 +160,134 @@ def worst_case_sweep(
     *,
     limit: int = DEFAULT_ENUMERATION_LIMIT,
     threads: Optional[int] = None,
-    chunk_bits: int = 16,
 ) -> LossProfile:
-    """Enumerate all 2**n bid vectors and profile the additive loss.
+    """Profile the additive loss over every bid vector at (n, h), by class.
 
-    Deterministic auctions are evaluated with the vectorized kernels, in
-    disjoint mask ranges reduced in a fixed order, so the result (including
-    the lexicographically-least witness) does not depend on thread count.
-    The randomized auction is profiled through its exact expected loss, which
-    is constant on each high-count class.
+    No vector is enumerated.  DOP, threshold-DOP and the randomized auction
+    lose the same on every vector with k high bids.  The derandomized
+    auction's revenue depends on k and on S, the sum of the high bidders'
+    indices, and every S in [k(k+1)/2, k(2n-k+1)/2] occurs, so its worst
+    case is a maximum over at most n**3/6 (k, S) pairs.  The witness is the
+    lexicographically least worst vector.  For the derandomized auction,
+    the greedy lex-least vector of an index sum falls strictly in lex order
+    as the sum grows, so each worst class offers the one at its largest
+    worst sum.
+
+    `limit` caps n; `threads` is accepted for callers that pass it and has
+    no effect, since the sweep does no chunked work.
     """
     n, h = params.n, params.h
-    if auction not in AUCTION_NAMES:
-        raise ValueError(f"unknown auction {auction!r}; expected one of {AUCTION_NAMES}")
+    _check_sweep_args(params, auction)
     if n > limit:
         raise ValueError(f"n={n} exceeds enumeration limit {limit}")
-    if auction == "threshold-dop":
-        require_divisible(n, h)
 
-    if auction == "random":
-        per_nh: dict[int, Loss] = {
-            k: SurdSum.of(max(n, h * k)) - expected_revenue_by_count(n, h, k)
-            for k in range(n + 1)
-        }
-        worst_k = 0
-        for k in range(1, n + 1):
-            if per_nh[k] > per_nh[worst_k]:
-                worst_k = k  # strict: ties keep the smaller count = lex-least witness
-        global_worst = per_nh[worst_k]
-        witness = BidVector(params, ((1 << worst_k) - 1) << (n - worst_k))
-        return LossProfile(
-            params, auction, per_nh, global_worst, witness, _normalize(global_worst, n, h)
+    per_nh: dict[int, Loss] = {}
+    worst_sum: dict[int, int] = {}
+    for k in range(n + 1):
+        opt = max(n, h * k)
+        if auction == "random":
+            per_nh[k] = SurdSum.of(opt) - expected_revenue_by_count(n, h, k)
+        elif auction == "derand":
+            # the revenue is periodic in S with period lcm(B(k), B(k-1)), so
+            # the top period of the S range holds the maximum and the
+            # largest S attaining it
+            top = k * (2 * n - k + 1) // 2
+            period = lcm(derand_modulus(h, k), derand_modulus(h, max(k - 1, 0)))
+            lowest = max(k * (k + 1) // 2, top + 1 - period)
+            sums = np.arange(lowest, top + 1, dtype=np.int64)
+            losses = opt - enumeration.derand_revenues(k, sums, n, h)
+            per_nh[k] = int(losses.max())
+            worst_sum[k] = lowest + int(np.flatnonzero(losses == per_nh[k])[-1])
+        else:
+            t = enumeration.count_threshold(auction, n, h)
+            per_nh[k] = opt - int(enumeration.count_revenues(k, n, h, t))
+    worst_k = 0
+    for k in range(1, n + 1):
+        if per_nh[k] > per_nh[worst_k]:
+            worst_k = k  # strict: ties keep the smaller count
+    global_worst = per_nh[worst_k]
+    if auction == "derand":
+        witness = min(
+            (_lex_least(params, k, worst_sum[k]) for k in per_nh if per_nh[k] == global_worst),
+            key=lambda b: b.bids,
         )
-
-    _require_kernel_domain(n, h)
-    chunks = _map_chunks(
-        lambda r: _sweep_chunk(auction, n, h, *r), _mask_ranges(n, chunk_bits), threads
+    else:
+        # L^(n-k) H^k, the lex-least vector of its class, and lex-smaller
+        # than that of any larger count
+        witness = BidVector(params, ((1 << worst_k) - 1) << (n - worst_k))
+    return LossProfile(
+        params, auction, per_nh, global_worst, witness, _normalize(global_worst, n, h)
     )
 
-    per_k_all = np.full(params.n + 1, _NEG_INF, dtype=np.int64)
-    worst = None
-    best_key = None
-    best_mask = None
-    for per_k, chunk_worst, chunk_key, chunk_mask in chunks:
+
+# ---------------------------------------------------------------------------
+# Enumerated sweep: the differential oracle of worst_case_sweep
+# ---------------------------------------------------------------------------
+
+
+def _sweep_chunk(losses_of, n: int, lo: int, hi: int):
+    masks = enumeration.mask_array(lo, hi)
+    losses = losses_of(masks)
+    per_k = np.full(n + 1, _NEG_INF, dtype=np.int64)
+    np.maximum.at(per_k, enumeration.popcount(masks), losses)
+    worst = int(losses.max())
+    at_worst = masks[losses == worst]
+    keys = enumeration.lex_keys(at_worst, n)
+    j = int(np.argmin(keys))
+    return per_k, worst, int(keys[j]), int(at_worst[j])
+
+
+def enumerated_sweep(
+    params: AuctionParams, auction: str, *, chunk_bits: int = 16
+) -> LossProfile:
+    """worst_case_sweep by enumerating all 2**n bid vectors.
+
+    Deterministic auctions take each vector's revenue from the mask kernels;
+    the randomized auction's exact per-count losses are replaced by their
+    ranks, so the same int64 reduction finds its maximum and lex-least
+    witness.  Mask ranges are reduced in a fixed order, so the result does
+    not depend on chunk_bits.  Kept as the tests' reference for n <= 20.
+    """
+    n, h = params.n, params.h
+    _check_sweep_args(params, auction)
+    _require_enumerable(n)
+    if auction == "random":
+        exact = [
+            SurdSum.of(max(n, h * k)) - expected_revenue_by_count(n, h, k) for k in range(n + 1)
+        ]
+        levels = sorted(set(exact))
+        rank = np.array([levels.index(loss) for loss in exact], dtype=np.int64)
+
+        def losses_of(masks):
+            return rank[enumeration.popcount(masks)]
+
+        def value(level) -> Loss:
+            return levels[level]
+    else:
+        kernel = enumeration.REVENUE_KERNELS[auction]
+
+        def losses_of(masks):
+            return np.maximum(n, h * enumeration.popcount(masks)) - kernel(masks, n, h)
+
+        value = int
+
+    per_k_all = np.full(n + 1, _NEG_INF, dtype=np.int64)
+    worst = best_key = best_mask = None
+    for lo, hi in _mask_ranges(n, chunk_bits):
+        per_k, chunk_worst, chunk_key, chunk_mask = _sweep_chunk(losses_of, n, lo, hi)
         per_k_all = np.maximum(per_k_all, per_k)
         if worst is None or chunk_worst > worst or (chunk_worst == worst and chunk_key < best_key):
             worst, best_key, best_mask = chunk_worst, chunk_key, chunk_mask
-    per_nh = {k: int(per_k_all[k]) for k in range(n + 1) if per_k_all[k] != _NEG_INF}
-    witness = BidVector(params, best_mask)
-    return LossProfile(params, auction, per_nh, worst, witness, _normalize(worst, n, h))
+    per_nh = {k: value(int(per_k_all[k])) for k in range(n + 1)}
+    global_worst = value(worst)
+    return LossProfile(
+        params,
+        auction,
+        per_nh,
+        global_worst,
+        BidVector(params, best_mask),
+        _normalize(global_worst, n, h),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +373,7 @@ def block_structure_sweep(
     """Run the block checker on every vector, with the offers taken from the
     vector kernel; (count checked, first failure)."""
     n, h = params.n, params.h
-    if n > limit:
-        raise ValueError(f"n={n} exceeds enumeration limit {limit}")
+    _require_enumerable(n, limit)
     _require_kernel_domain(n, h)
     for lo, hi in _mask_ranges(n):
         offered_h = enumeration.offers_for_bidder(enumeration.mask_array(lo, hi), n, h, "derand")
@@ -304,8 +403,7 @@ def bid_independence_violations(
     n, h = params.n, params.h
     if auction not in AUCTION_NAMES:
         raise ValueError(f"unknown auction {auction!r}; expected one of {AUCTION_NAMES}")
-    if n > limit:
-        raise ValueError(f"n={n} exceeds enumeration limit {limit}")
+    _require_enumerable(n, limit)
     masks = enumeration.mask_array(0, 1 << n)
     if auction == "random":
         k = enumeration.popcount(masks)
@@ -417,7 +515,7 @@ def _sample_revenues(
     k = high.sum(axis=1, dtype=np.int64)
     opt = np.maximum(n, h * k)
     if auction == "derand":
-        revenue = enumeration.derand_revenues(np.ascontiguousarray(high.T), h)
+        revenue = enumeration.derand_revenues(k, enumeration.high_index_sum(high.T), n, h)
     elif auction == "random":
         thresholds = np.zeros(n + 1, dtype=np.uint64)
         always = np.zeros(n + 1, dtype=bool)

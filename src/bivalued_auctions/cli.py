@@ -66,13 +66,18 @@ def build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    sp = sub.add_parser("sweep", help="enumerate all bid vectors, profile additive loss")
+    about = (
+        "worst additive loss over all bid vectors, maximized per high count k "
+        "(and per high-index sum S for derand) without enumerating vectors"
+    )
+    sp = sub.add_parser("sweep", help=about, description=about)
     sp.add_argument("--n", type=_positive_int, required=True)
     sp.add_argument("--h", type=_h_value, required=True)
     sp.add_argument("--auction", choices=AUCTION_NAMES, required=True)
-    sp.add_argument("--threads", type=_positive_int, default=os.cpu_count() or 1)
+    sp.add_argument("--threads", type=_positive_int, default=os.cpu_count() or 1,
+                    help="accepted for compatibility; the sweep runs on one thread")
     sp.add_argument("--limit", type=_positive_int, default=DEFAULT_ENUMERATION_LIMIT,
-                    help="enumeration cap on n")
+                    help="largest n accepted")
     _add_output_flags(sp)
 
     sp = sub.add_parser("demo-dop", help="exhibit the deterministic-offer failure ratio h")

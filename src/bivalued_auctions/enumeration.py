@@ -10,7 +10,9 @@ the scalar rules.
   (`count_threshold`), so their revenue is a function of the high count k
   alone (`count_revenues`).
 - The derandomized rule depends on the bids themselves: `derand_offers`
-  walks a bidder-major (n, rows) boolean high matrix once.
+  walks a bidder-major (n, rows) boolean high matrix once.  Its revenue,
+  though, depends only on k and on S, the sum of the high bidders' indices
+  (`derand_revenues`).
 
 A mask encodes one bid vector (bit i-1 set <=> bidder i bids high).
 """
@@ -80,6 +82,11 @@ def count_revenues(k: np.ndarray, n: int, h: int, t: int) -> np.ndarray:
     return (n - k) * (k < t) + k * np.where(k > t, h, LOW_VALUE)
 
 
+def _derand_moduli(n: int, h: int) -> np.ndarray:
+    """B(m) = derand_modulus(h, m) for every high count m = 0..n."""
+    return np.array([derand_modulus(h, m) for m in range(n + 1)], dtype=np.int64)
+
+
 def derand_offers(high: np.ndarray, h: int) -> Iterator[np.ndarray]:
     """Per bidder i = 1..n, whether the modular rule offers h, over the
     columns of the bidder-major (n, rows) boolean matrix `high`.
@@ -90,7 +97,7 @@ def derand_offers(high: np.ndarray, h: int) -> Iterator[np.ndarray]:
     n = len(high)
     k = high.sum(axis=0, dtype=np.int64)
     index_sum = high_index_sum(high)
-    moduli = np.array([derand_modulus(h, m) for m in range(n + 1)], dtype=np.int64)
+    moduli = _derand_moduli(n, h)
     seen_high = np.zeros_like(k)
     for i, bit in enumerate(high, start=1):
         nh_i = k - bit
@@ -101,12 +108,33 @@ def derand_offers(high: np.ndarray, h: int) -> Iterator[np.ndarray]:
         seen_high += bit
 
 
-def derand_revenues(high: np.ndarray, h: int) -> np.ndarray:
-    """Revenue of the derandomized auction on every column of `high`."""
-    revenue = np.zeros(high.shape[1], dtype=np.int64)
-    for bit, offered_h in zip(high, derand_offers(high, h)):
-        revenue += np.where(offered_h, h * bit, LOW_VALUE)
-    return revenue
+def _window_offers(start, length, b_val, a_plus):
+    """How many z in [start, start + length) have z mod b_val < a_plus."""
+
+    def below(x):
+        return x // b_val * a_plus + np.minimum(x % b_val, a_plus)
+
+    return below(start + length) - below(start)
+
+
+def derand_revenues(k, index_sum, n: int, h: int) -> np.ndarray:
+    """Revenue of the derandomized auction on vectors with k high bids whose
+    (1-based) indices sum to index_sum; k and index_sum broadcast.
+
+    Walking one class of bidders in index order steps the modular hash by
+    +-1: the low bidder of rank r = 1..n-k sees z = (S + r) mod B(k), and
+    the high bidder with y = 0..k-1 high bidders before it sees
+    z = (S - y) mod B(k-1).  So each class's offers of h are one window
+    count against a+ = clamp(h * n_h(i) - n, 0, B).  Low bidders offered h
+    pay 0 instead of 1, high bidders h instead of 1.
+    """
+    moduli = _derand_moduli(n, h)
+    a_plus = np.clip(h * np.arange(n + 1, dtype=np.int64) - n, 0, moduli)
+    k = np.asarray(k)
+    m = np.maximum(k - 1, 0)  # at k = 0 the high window is empty
+    low = _window_offers(index_sum + 1, n - k, moduli[k], a_plus[k])
+    high = _window_offers(index_sum - k + 1, k, moduli[m], a_plus[m])
+    return n - low + (h - 1) * high
 
 
 def _count_kernel(auction: str):
@@ -119,7 +147,9 @@ def _count_kernel(auction: str):
 REVENUE_KERNELS = {
     "dop": _count_kernel("dop"),
     "threshold-dop": _count_kernel("threshold-dop"),
-    "derand": lambda masks, n, h: derand_revenues(high_matrix(masks, n), h),
+    "derand": lambda masks, n, h: derand_revenues(
+        popcount(masks), high_index_sum(high_matrix(masks, n)), n, h
+    ),
 }
 
 

@@ -253,20 +253,17 @@ def bernoulli_threshold(p: ExactLike, bits: int = 64) -> int:
 
     Comparing a uniform `bits`-wide integer against this threshold samples a
     Bernoulli with success probability within 2**-bits of p (exactly p when
-    2**bits * p is an integer), using only integer arithmetic.
+    2**bits * p is an integer), using only integer arithmetic.  p must be
+    rational or a one-term surd (num/den) * sqrt(r), the form every offer
+    probability takes; the threshold is then ceil(p * 2**bits), clamped to
+    [0, 2**bits], from one integer square root.
     """
     p = SurdSum.of(p)
-    span = 1 << bits
-    if p.sign() <= 0:
+    if len(p.terms) > 1:
+        raise ValueError(f"bernoulli_threshold needs a rational or one-term surd, got {p!r}")
+    if p.is_zero or p.terms[0][1] < 0:
         return 0
-    if p >= 1:
-        return span
-    lo, hi = 0, span
-    # smallest t with t / 2**bits >= p; all u < t satisfy u / 2**bits < p
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if p <= Fraction(mid, span):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    ((r, q),) = p.terms
+    # smallest t with t * den >= num * 2**bits * sqrt(r)
+    t = -(-ceil_scaled_sqrt(q.numerator << bits, r) // q.denominator)
+    return min(t, 1 << bits)

@@ -94,12 +94,24 @@ class TestWorstCaseSweep:
     def test_chunking_and_threads_change_nothing(self):
         p = AuctionParams(10, 3)
         base = worst_case_sweep(p, "derand")
-        chunked = worst_case_sweep(p, "derand", chunk_bits=4)
-        threaded = worst_case_sweep(p, "derand", chunk_bits=5, threads=3)
-        for other in (chunked, threaded):
-            assert other.global_worst == base.global_worst
-            assert other.witness == base.witness
-            assert other.per_nh_worst == base.per_nh_worst
+        chunk4 = analysis.enumerated_sweep(p, "derand", chunk_bits=4)
+        chunk5 = analysis.enumerated_sweep(p, "derand", chunk_bits=5)
+        threaded = worst_case_sweep(p, "derand", threads=3)
+        assert chunk4 == chunk5 == threaded == base
+
+    @pytest.mark.parametrize("h", range(2, 10))
+    @pytest.mark.parametrize("auction", ["dop", "threshold-dop", "derand", "random"])
+    def test_matches_enumerated_oracle(self, auction, h):
+        for n in range(1, 13):
+            if auction == "threshold-dop" and n % h:
+                continue
+            p = AuctionParams(n, h)
+            assert worst_case_sweep(p, auction) == analysis.enumerated_sweep(p, auction), n
+
+    def test_derand_beyond_the_enumeration_cap(self):
+        profile = worst_case_sweep(AuctionParams(200, 5), "derand", limit=200)
+        assert profile.global_worst == 64
+        assert additive_loss(profile.witness, "derand") == 64
 
     def test_random_sweep_is_exact_per_count(self):
         p = AuctionParams(7, 3)
@@ -237,6 +249,27 @@ class TestBlockSweep:
     def test_limit(self):
         with pytest.raises(ValueError):
             block_structure_sweep(AuctionParams(21, 2))
+
+    def test_cap_rejects_before_any_enumeration(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("enumeration or thread pool started")
+
+        for owner, name in (
+            (analysis, "_mask_ranges"),
+            (analysis, "ThreadPoolExecutor"),
+            (analysis.enumeration, "mask_array"),
+        ):
+            monkeypatch.setattr(owner, name, forbidden)
+        p = AuctionParams(analysis.ENUMERATION_CAP + 1, 2)
+        calls = [
+            lambda: block_structure_sweep(p, limit=64),
+            lambda: bid_independence_violations(p, "derand", limit=64),
+            lambda: bid_independence_violations(p, "random", limit=64),
+            lambda: analysis.enumerated_sweep(p, "dop"),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="enumeration cap"):
+                call()
 
 
 class TestMonteCarlo:

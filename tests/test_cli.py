@@ -158,6 +158,11 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err.startswith("error:") and "int64" in err
 
+    def test_enumeration_cap_is_one(self, capsys):
+        code, out, err = run_cli(capsys, "block-check", "--n", "64", "--h", "2", "--limit", "64")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "enumeration cap" in err
+
     def test_perturbed_identity_is_two(self, capsys, monkeypatch):
         monkeypatch.setattr(analysis, "exact_e_dop_under_d", lambda n, h: Fraction(1))
         code, out, err = run_cli(capsys, "dist-d", "--n", "4", "--h", "2")

@@ -12,6 +12,7 @@ from bivalued_auctions.enumeration import (
     REVENUE_KERNELS,
     count_revenues,
     count_threshold,
+    derand_offers,
     derand_revenues,
     high_index_sum,
     high_matrix,
@@ -118,7 +119,7 @@ def test_kernels_match_scalar_rules(case):
     # the Monte Carlo shape: one (rows, n) draw, k as its row sums
     draw = np.array([[bool(m >> (i - 1) & 1) for i in range(1, n + 1)] for m in masks])
     if auction == "derand":
-        sampled = derand_revenues(draw.T, h)
+        sampled = derand_revenues(draw.sum(axis=1), high_index_sum(draw.T), n, h)
     else:
         sampled = count_revenues(draw.sum(axis=1), n, h, count_threshold(auction, n, h))
     rule = offer_rule(auction)
@@ -139,3 +140,30 @@ def test_sampled_revenues_match_scalar_run(auction):
         b = BidVector.from_bids(p, [h if bid else LOW_VALUE for bid in bids])
         assert revenue[row] == run_auction(b, auction).revenue
         assert opt[row] == max(n, h * int(bids.sum()))
+
+
+@st.composite
+def bid_matrices(draw):
+    """(n, h, bids): a (rows, n) boolean bid matrix, h anywhere in the int64
+    domain up to its largest accepted value."""
+    n = draw(st.integers(1, 64))
+    top = KERNEL_HN_LIMIT // n
+    h = draw(st.one_of(st.integers(2, 40), st.integers(2, top), st.just(top)))
+    rows = draw(st.integers(1, 6))
+    bits = draw(st.lists(st.booleans(), min_size=rows * n, max_size=rows * n))
+    return n, h, np.array(bits, dtype=bool).reshape(rows, n)
+
+
+@given(bid_matrices())
+@settings(max_examples=200, deadline=None)
+def test_derand_closed_form_matches_walk_and_scalar(case):
+    n, h, bids = case
+    high = np.ascontiguousarray(bids.T)
+    closed = derand_revenues(bids.sum(axis=1), high_index_sum(high), n, h)
+    walked = np.zeros(len(bids), dtype=np.int64)
+    for bit, offered_h in zip(high, derand_offers(high, h)):
+        walked += np.where(offered_h, h * bit, LOW_VALUE)
+    p = AuctionParams(n, h)
+    for row, vector in enumerate(bids):
+        b = BidVector.from_bids(p, [h if bid else LOW_VALUE for bid in vector])
+        assert closed[row] == walked[row] == run_auction(b, "derand").revenue

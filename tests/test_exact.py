@@ -8,6 +8,7 @@ from math import isqrt
 import pytest
 from hypothesis import given, strategies as st
 
+from bivalued_auctions.auctions import offer_probability_by_count
 from bivalued_auctions.exact import (
     SurdSum,
     bernoulli_threshold,
@@ -136,6 +137,24 @@ class TestSurdSum:
         assert eq is False  # sqrt(2)/2 is irrational
 
 
+def search_threshold(p, bits: int = 64) -> int:
+    """Binary search for the least t with t / 2**bits >= p, clamped to [0, 2**bits]."""
+    p = SurdSum.of(p)
+    span = 1 << bits
+    if p.sign() <= 0:
+        return 0
+    if p >= 1:
+        return span
+    lo, hi = 0, span
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if p <= Fraction(mid, span):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 class TestBernoulliThreshold:
     def test_clamps(self):
         assert bernoulli_threshold(0) == 0
@@ -159,6 +178,25 @@ class TestBernoulliThreshold:
         assert Fraction(t, span) >= p
         if t > 0:
             assert Fraction(t - 1, span) < p
+
+    @pytest.mark.parametrize("n,h", [(37, 3), (100, 10), (500, 7), (1000, 10), (2000, 10)])
+    def test_matches_search_at_every_count(self, n, h):
+        for m in range(n + 1):
+            p = offer_probability_by_count(n, h, m)
+            assert bernoulli_threshold(p) == search_threshold(p), m
+
+    @given(
+        st.fractions(min_value=-1, max_value=2, max_denominator=10**6),
+        st.integers(1, 10**6),
+        st.integers(1, 64),
+    )
+    def test_one_term_surds_match_search(self, coeff, radicand, bits):
+        p = SurdSum.multiple(coeff, radicand)
+        assert bernoulli_threshold(p, bits) == search_threshold(p, bits)
+
+    def test_rejects_two_term_surds(self):
+        with pytest.raises(ValueError):
+            bernoulli_threshold(SurdSum.root(2) - SurdSum.root(3) + 1)
 
     def test_irrational_probability(self):
         # p = 1/sqrt(11): t/2^64 must straddle it exactly
