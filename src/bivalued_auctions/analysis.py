@@ -40,8 +40,16 @@ DEFAULT_ENUMERATION_LIMIT = 20
 # limit: 2**30 vectors is hours of work, and the int64 masks and lex keys
 # stay exact far beyond it.
 ENUMERATION_CAP = 30
+# The DOP demo runs the scalar rule on one vector of n bidders, at a cost
+# quadratic in n: about half a second at this cap.
+DEMO_N_LIMIT = 1 << 16
 _MC_CHUNK = 1 << 14
+# Draws per Monte Carlo block: one block's 8-byte matrix is at most 4 MB.
+_MC_BLOCK_DRAWS = 1 << 19
 _NEG_INF = np.int64(-(1 << 60))
+# Index sums per block of the derandomized (k, S) sweep, which bounds its
+# arrays whatever the S range of a class.
+_SUM_BLOCK = 1 << 16
 
 # The int64 arithmetic of the vector kernels and of the chunk reductions is
 # exact while h * n <= 2**24.  Every benchmark value, revenue and loss is at
@@ -194,10 +202,13 @@ def worst_case_sweep(
             top = k * (2 * n - k + 1) // 2
             period = lcm(derand_modulus(h, k), derand_modulus(h, max(k - 1, 0)))
             lowest = max(k * (k + 1) // 2, top + 1 - period)
-            sums = np.arange(lowest, top + 1, dtype=np.int64)
-            losses = opt - enumeration.derand_revenues(k, sums, n, h)
-            per_nh[k] = int(losses.max())
-            worst_sum[k] = lowest + int(np.flatnonzero(losses == per_nh[k])[-1])
+            for start in range(lowest, top + 1, _SUM_BLOCK):
+                sums = np.arange(start, min(start + _SUM_BLOCK, top + 1), dtype=np.int64)
+                losses = opt - enumeration.derand_revenues(k, sums, n, h)
+                worst = int(losses.max())
+                if start == lowest or worst >= per_nh[k]:  # ties move to the larger S
+                    per_nh[k] = worst
+                    worst_sum[k] = start + int(np.flatnonzero(losses == worst)[-1])
         else:
             t = enumeration.count_threshold(auction, n, h)
             per_nh[k] = opt - int(enumeration.count_revenues(k, n, h, t))
@@ -303,6 +314,8 @@ def dop_unboundedness_demo(h: int, n: Optional[int] = None) -> Fraction:
     """
     if n is None:
         n = h * h
+    if n > DEMO_N_LIMIT:
+        raise ValueError(f"n={n} exceeds the demo limit {DEMO_N_LIMIT}")
     require_divisible(n, h)
     params = AuctionParams(n, h)
     n_high = n // h
@@ -404,25 +417,35 @@ def bid_independence_violations(
     if auction not in AUCTION_NAMES:
         raise ValueError(f"unknown auction {auction!r}; expected one of {AUCTION_NAMES}")
     _require_enumerable(n, limit)
-    masks = enumeration.mask_array(0, 1 << n)
+    ranges = _mask_ranges(n)
     if auction == "random":
-        k = enumeration.popcount(masks)
-        fields = (k - ((masks >> (i - 1)) & 1) for i in range(1, n + 1))
+        # bidder i's statistic is k less its own bit, so k serves every bidder
+        k = np.concatenate(
+            [enumeration.popcount(enumeration.mask_array(lo, hi)) for lo, hi in ranges]
+        )
+        fields = (k for _ in range(n))
     else:
         _require_kernel_domain(n, h)
         # one kernel call per mask range, as the sweep makes, so that no
         # single array grows to n * 2**n entries
         chunks = [
             enumeration.offers_for_bidder(enumeration.mask_array(lo, hi), n, h, auction)
-            for lo, hi in _mask_ranges(n)
+            for lo, hi in ranges
         ]
         fields = (np.concatenate([chunk[i] for chunk in chunks]) for i in range(n))
     violations = []
     for i, field in enumerate(fields, start=1):
-        flipped = field[masks ^ (1 << (i - 1))]
-        diff = field != flipped
-        if diff.any():
-            violations.append((i, BidVector(params, int(masks[diff][0]))))
+        # mask a * 2**i + b * 2**(i-1) + c sits at [a, b, c]; b is bidder i's bit
+        pairs = field.reshape(-1, 2, 1 << (i - 1))
+        bids_low, bids_high = pairs[:, 0], pairs[:, 1]
+        if auction == "random":
+            bids_high = bids_high - 1  # k counts bidder i's own high bid
+        # a hit's mask has bit i-1 clear, so the first hit is the smallest
+        # mask whose flip changes the offer
+        hits = np.flatnonzero(bids_low != bids_high)
+        if len(hits):
+            a, c = divmod(int(hits[0]), 1 << (i - 1))
+            violations.append((i, BidVector(params, (a << i) | c)))
     return violations
 
 
@@ -431,20 +454,24 @@ def bid_independence_violations(
 # ---------------------------------------------------------------------------
 
 
-def _weights(n: int, h: int) -> list[Fraction]:
-    p = Fraction(1, h)
-    q = 1 - p
-    return [comb(n, k) * p**k * q ** (n - k) for k in range(n + 1)]
+def _expectation_over_counts(n: int, h: int, at_boundary: int) -> Fraction:
+    """E[max(n, h*K)] under the hard distribution, except that the boundary
+    count K = n/h earns at_boundary.  P[K = k] = w[k] / h**n with the integer
+    w[k] = C(n, k) * (h-1)**(n-k), so the sum is one integer over h**n."""
+    require_divisible(n, h)
+    t = n // h
+    w = [1] * (n + 1)
+    for k in range(n - 1, -1, -1):
+        # C(n, k) = C(n, k+1) * (k+1) / (n-k), exactly
+        w[k] = w[k + 1] * (k + 1) * (h - 1) // (n - k)
+    below = n * sum(w[:t])
+    above = h * sum(k * w[k] for k in range(t + 1, n + 1))
+    return Fraction(below + at_boundary * w[t] + above, h**n)
 
 
 def exact_e_opt_under_d(n: int, h: int) -> Fraction:
     """E[max(n, h*K)] for K ~ Binomial(n, 1/h), exactly (needs h | n)."""
-    require_divisible(n, h)
-    t = n // h
-    w = _weights(n, h)
-    below = sum((n * w[k] for k in range(t)), Fraction(0))
-    above = sum((h * k * w[k] for k in range(t + 1, n + 1)), Fraction(0))
-    return below + above + n * w[t]
+    return _expectation_over_counts(n, h, n)
 
 
 def exact_e_dop_under_d(n: int, h: int) -> Fraction:
@@ -454,12 +481,7 @@ def exact_e_dop_under_d(n: int, h: int) -> Fraction:
     K = n/h, where the auction collects only n/h; the bid-independence
     argument forces the total to equal n exactly.
     """
-    require_divisible(n, h)
-    t = n // h
-    w = _weights(n, h)
-    below = sum((n * w[k] for k in range(t)), Fraction(0))
-    above = sum((h * k * w[k] for k in range(t + 1, n + 1)), Fraction(0))
-    return below + above + t * w[t]
+    return _expectation_over_counts(n, h, n // h)
 
 
 def lower_bound_gap(n: int, h: int) -> Fraction:
@@ -510,29 +532,54 @@ class DistributionDReport:
 def _sample_revenues(
     rng: np.random.Generator, n: int, h: int, auction: str, rows: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Draw `rows` bid vectors (high w.p. 1/h) and settle the named auction."""
-    high = rng.integers(0, h, size=(rows, n)) == 0
+    """Draw `rows` bid vectors (high w.p. 1/h) and settle the named auction.
+
+    The draws are made in blocks of at most _MC_BLOCK_DRAWS, first every
+    bid, then the randomized auction's coins, so the stream is consumed as
+    by one (rows, n) draw of each and no block's 8-byte matrix exceeds 4 MB.
+    """
+    step = max(1, _MC_BLOCK_DRAWS // n)
+    blocks = [(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
+    high = np.empty((rows, n), dtype=bool)
+    for lo, hi in blocks:
+        np.equal(rng.integers(0, h, size=(hi - lo, n)), 0, out=high[lo:hi])
     k = high.sum(axis=1, dtype=np.int64)
     opt = np.maximum(n, h * k)
     if auction == "derand":
         revenue = enumeration.derand_revenues(k, enumeration.high_index_sum(high.T), n, h)
     elif auction == "random":
-        thresholds = np.zeros(n + 1, dtype=np.uint64)
-        always = np.zeros(n + 1, dtype=bool)
-        for m in range(n + 1):
-            t64 = _offer_threshold_by_count(n, h, m)
-            if t64 >= 1 << 64:
-                always[m] = True
-            else:
-                thresholds[m] = t64
-        coins = rng.integers(0, 1 << 64, size=(rows, n), dtype=np.uint64, endpoint=False)
-        nh_i = k[:, None] - high
-        offered_h = (coins < thresholds[nh_i]) | always[nh_i]
-        pay = np.where(offered_h, np.where(high, h, 0), 1)
-        revenue = pay.sum(axis=1, dtype=np.int64)
+        revenue = _random_revenues(rng, high, k, h, blocks)
     else:
         revenue = enumeration.count_revenues(k, n, h, enumeration.count_threshold(auction, n, h))
     return revenue, opt
+
+
+def _random_revenues(rng, high, k, h: int, blocks) -> np.ndarray:
+    """Settle the randomized auction on the rows of high, one coin block at
+    a time: bidder i is offered h iff its coin falls below the 64-bit
+    threshold of n_h(i), which is k for a low bidder and k - 1 for a high
+    one, or that probability is 1."""
+    n = high.shape[1]
+    thresholds = np.zeros(n + 1, dtype=np.uint64)
+    always = np.zeros(n + 1, dtype=bool)
+    for m in range(n + 1):
+        t64 = _offer_threshold_by_count(n, h, m)
+        if t64 >= 1 << 64:
+            always[m] = True
+        else:
+            thresholds[m] = t64
+    revenue = np.empty(len(k), dtype=np.int64)
+    for lo, hi in blocks:
+        coins = rng.integers(0, 1 << 64, size=(hi - lo, n), dtype=np.uint64, endpoint=False)
+        bits, low_m = high[lo:hi], k[lo:hi]
+        high_m = np.maximum(low_m - 1, 0)  # a row without high bidders never reads it
+        low_offered = ((coins < thresholds[low_m, None]) & ~bits).sum(axis=1)
+        high_offered = ((coins < thresholds[high_m, None]) & bits).sum(axis=1)
+        low_offered = np.where(always[low_m], n - low_m, low_offered)
+        high_offered = np.where(always[high_m], low_m, high_offered)
+        # low bidders offered h pay 0 instead of 1, high bidders h instead of 1
+        revenue[lo:hi] = n - low_offered + (h - 1) * high_offered
+    return revenue
 
 
 def _mean_stderr(total: int, total_sq: int, count: int) -> tuple[float, float]:

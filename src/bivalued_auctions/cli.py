@@ -372,6 +372,8 @@ def _batch_rows(args: argparse.Namespace) -> list[dict]:
             entries = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{args.config}: parse failure at line {exc.lineno}: {exc.msg}")
+        except RecursionError:
+            raise ValueError(f"{args.config}: parse failure: nested too deeply") from None
     if not isinstance(entries, list):
         raise ValueError(f"{args.config}: top level must be a JSON array")
     # Validate everything before running anything: one malformed entry must

@@ -25,12 +25,17 @@ _HALF = Fraction(1, 2)
 
 @lru_cache(maxsize=None)
 def square_free(m: int) -> tuple[int, int]:
-    """Split m >= 1 into (s, r) with m = s*s*r and r square-free."""
+    """Split m >= 1 into (s, r) with m = s*s*r and r square-free.
+
+    Trial division stops at the cube root of what is left: a cofactor with
+    no prime factor below its cube root has at most two, so it is 1, p, p*q
+    or p*p, and only the last is not square-free.
+    """
     if m < 1:
         raise ValueError("square_free requires m >= 1")
     s, r = 1, 1
     d = 2
-    while d * d <= m:
+    while d * d * d <= m:
         if m % d == 0:
             e = 0
             while m % d == 0:
@@ -40,6 +45,9 @@ def square_free(m: int) -> tuple[int, int]:
             if e % 2:
                 r *= d
         d += 1 if d == 2 else 2
+    root = isqrt(m)
+    if root * root == m:
+        return s * root, r
     return s, r * m
 
 

@@ -108,6 +108,13 @@ class TestWorstCaseSweep:
             p = AuctionParams(n, h)
             assert worst_case_sweep(p, auction) == analysis.enumerated_sweep(p, auction), n
 
+    @pytest.mark.parametrize("h", range(2, 10))
+    def test_sum_blocks_change_nothing(self, monkeypatch, h):
+        monkeypatch.setattr(analysis, "_SUM_BLOCK", 3)
+        for n in range(1, 13):
+            p = AuctionParams(n, h)
+            assert worst_case_sweep(p, "derand") == analysis.enumerated_sweep(p, "derand"), n
+
     def test_derand_beyond_the_enumeration_cap(self):
         profile = worst_case_sweep(AuctionParams(200, 5), "derand", limit=200)
         assert profile.global_worst == 64
@@ -171,6 +178,11 @@ class TestDopUnboundedness:
     def test_explicit_n(self):
         assert dop_unboundedness_demo(2, 4) == 2
         assert dop_unboundedness_demo(10, 100) == 10
+
+    def test_n_beyond_the_demo_limit_rejected(self):
+        for h, n in ((1 << 62, None), (2, analysis.DEMO_N_LIMIT + 2)):
+            with pytest.raises(ValueError, match="demo limit"):
+                dop_unboundedness_demo(h, n)
 
     def test_requires_divisibility(self):
         with pytest.raises(ValueError):

@@ -43,6 +43,27 @@ def test_square_free_matches_brute_force(m):
     assert (s, r) == brute_square_free(m)
 
 
+@pytest.mark.parametrize(
+    "m",
+    [
+        1000003**2,  # the square of a prime above the cube root
+        7 * 1000003**2,
+        1000003 * 1000033,  # two primes above the cube root
+        999983 * 1000003**2,
+        (1 << 31) - 1,
+    ],
+)
+def test_square_free_beyond_the_cube_root(m):
+    assert square_free(m) == brute_square_free(m)
+
+
+def test_square_free_of_huge_radicands():
+    # sqrt(n*h) at h near 2**62: trial division to the square root would
+    # take minutes here
+    assert square_free((1 << 61) - 1) == (1, (1 << 61) - 1)  # prime
+    assert square_free(40 * ((1 << 62) - 1)) == (2, 10 * ((1 << 62) - 1))
+
+
 @given(st.integers(0, 5000), st.integers(0, 5000))
 def test_ceil_scaled_sqrt_least_upper_integer(mult, m):
     t = ceil_scaled_sqrt(mult, m)

@@ -1,0 +1,117 @@
+"""The hard-distribution fast paths against the straightforward ones.
+
+`exact_e_opt_under_d` and `exact_e_dop_under_d` sum integer numerators over
+the one denominator h**n; the oracle here sums one Fraction per count.
+`_sample_revenues` draws in fixed-size row blocks and settles the randomized
+auction per block; the oracle draws the whole chunk at once and gathers each
+bidder's threshold.  Both pairs must agree exactly, down to the generator's
+state after the draws.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import comb
+
+import numpy as np
+import pytest
+
+from bivalued_auctions import AUCTION_NAMES, analysis, enumeration
+from bivalued_auctions.auctions import _offer_threshold_by_count
+from bivalued_auctions.rng import stream_generator
+
+
+def _weights(n: int, h: int) -> list[Fraction]:
+    p = Fraction(1, h)
+    q = 1 - p
+    return [comb(n, k) * p**k * q ** (n - k) for k in range(n + 1)]
+
+
+def fraction_expectations(n: int, h: int) -> tuple[Fraction, Fraction]:
+    """(E[opt], E[threshold-DOP]) under the hard distribution, one Fraction
+    term per high count."""
+    t = n // h
+    w = _weights(n, h)
+    below = sum((n * w[k] for k in range(t)), Fraction(0))
+    above = sum((h * k * w[k] for k in range(t + 1, n + 1)), Fraction(0))
+    return below + above + n * w[t], below + above + t * w[t]
+
+
+def whole_chunk_revenues(rng, n: int, h: int, auction: str, rows: int):
+    """_sample_revenues as one (rows, n) draw with per-bidder gathers."""
+    high = rng.integers(0, h, size=(rows, n)) == 0
+    k = high.sum(axis=1, dtype=np.int64)
+    opt = np.maximum(n, h * k)
+    if auction == "derand":
+        revenue = enumeration.derand_revenues(k, enumeration.high_index_sum(high.T), n, h)
+    elif auction == "random":
+        thresholds = np.zeros(n + 1, dtype=np.uint64)
+        always = np.zeros(n + 1, dtype=bool)
+        for m in range(n + 1):
+            t64 = _offer_threshold_by_count(n, h, m)
+            if t64 >= 1 << 64:
+                always[m] = True
+            else:
+                thresholds[m] = t64
+        coins = rng.integers(0, 1 << 64, size=(rows, n), dtype=np.uint64, endpoint=False)
+        nh_i = k[:, None] - high
+        offered_h = (coins < thresholds[nh_i]) | always[nh_i]
+        pay = np.where(offered_h, np.where(high, h, 0), 1)
+        revenue = pay.sum(axis=1, dtype=np.int64)
+    else:
+        revenue = enumeration.count_revenues(k, n, h, enumeration.count_threshold(auction, n, h))
+    return revenue, opt
+
+
+@pytest.mark.parametrize(
+    "n,h", [(2, 2), (60, 2), (12, 3), (100, 4), (75, 5), (240, 6), (999, 9), (1000, 10)]
+)
+def test_identities_match_fraction_sums(n, h):
+    want_opt, want_dop = fraction_expectations(n, h)
+    assert analysis.exact_e_opt_under_d(n, h) == want_opt
+    assert analysis.exact_e_dop_under_d(n, h) == want_dop == n
+
+
+def _block_rows(n: int) -> int:
+    return max(1, analysis._MC_BLOCK_DRAWS // n)
+
+
+def _assert_same_draws(n, h, auction, rows, seed=7):
+    fast_rng, slow_rng = stream_generator(seed, 3), stream_generator(seed, 3)
+    revenue, opt = analysis._sample_revenues(fast_rng, n, h, auction, rows)
+    want_revenue, want_opt = whole_chunk_revenues(slow_rng, n, h, auction, rows)
+    assert np.array_equal(revenue, want_revenue)
+    assert np.array_equal(opt, want_opt)
+    # the stream was consumed exactly as far
+    assert fast_rng.integers(0, 1 << 64, dtype=np.uint64) == slow_rng.integers(
+        0, 1 << 64, dtype=np.uint64
+    )
+
+
+@pytest.mark.parametrize(
+    "auction,n,h",
+    [
+        (auction, n, h)
+        for n, h in [(5, 9), (45, 9), (333, 3), (1001, 7)]
+        for auction in AUCTION_NAMES
+        if auction != "threshold-dop" or n % h == 0
+    ],
+)
+def test_row_blocks_draw_what_one_chunk_draws(auction, n, h):
+    block = _block_rows(n)
+    rows = {1, block - 1, block, block + 1}
+    if n * analysis._MC_CHUNK * 8 <= 64 << 20:  # keep the oracle's whole chunk small
+        rows.add(analysis._MC_CHUNK)
+    for count in sorted(rows):
+        _assert_same_draws(n, h, auction, count)
+
+
+def test_random_draws_reach_offer_probability_one():
+    # at n=5, h=9 a bidder who sees 2 high bids is offered h surely; the
+    # differential test's draws at 2**14 rows include such bidders
+    n, h = 5, 9
+    assert _offer_threshold_by_count(n, h, 1) < 1 << 64 <= _offer_threshold_by_count(n, h, 2)
+    high = stream_generator(7, 3).integers(0, h, size=(analysis._MC_CHUNK, n)) == 0
+    k = high.sum(axis=1)
+    assert ((k >= 2) & (k < n)).any()
+

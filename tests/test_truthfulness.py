@@ -7,6 +7,7 @@ sweep does not exercise.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from bivalued_auctions import (
@@ -14,6 +15,7 @@ from bivalued_auctions import (
     AuctionParams,
     BidVector,
     bid_independence_violations,
+    enumeration,
     offer_rule,
     random_offer_probability,
 )
@@ -59,3 +61,49 @@ def test_offer_rule_flip_invariant_scalar(auction):
         b = BidVector(p, mask)
         for i in range(1, n + 1):
             assert rule(b.mask_bidder(i)) == rule(b.flip(i).mask_bidder(i))
+
+
+def _smallest_witnesses(n: int, differs) -> list[tuple[int, int]]:
+    """(bidder, smallest mask whose flip of that bidder's bid differs), by brute force."""
+    found = []
+    for i in range(1, n + 1):
+        masks = [m for m in range(1 << n) if differs(m, m ^ (1 << (i - 1)), i)]
+        if masks:
+            found.append((i, min(masks)))
+    return found
+
+
+@pytest.mark.parametrize("n", [3, 6, 9])
+def test_own_bid_dependence_is_reported_for_deterministic_offers(monkeypatch, n):
+    # bidder i is offered h iff it and its right neighbour (cyclically) bid high
+    def offers(masks, n, h, auction):
+        bits = [(masks >> j) & 1 for j in range(n)]
+        return np.stack([(bits[j] & bits[(j + 1) % n]).astype(bool) for j in range(n)])
+
+    def rule(mask, i):
+        return (mask >> (i - 1)) & (mask >> (i % n)) & 1
+
+    monkeypatch.setattr(enumeration, "offers_for_bidder", offers)
+    want = _smallest_witnesses(n, lambda m, f, i: rule(m, i) != rule(f, i))
+    assert want == [(i, 1 << i) for i in range(1, n)] + [(n, 1)]
+    got = bid_independence_violations(AuctionParams(n, 2), "derand")
+    assert [(i, b.mask) for i, b in got] == want
+
+
+@pytest.mark.parametrize("n", [3, 6, 9])
+def test_own_bid_dependence_is_reported_for_the_count_statistic(monkeypatch, n):
+    # a "count" that also counts adjacent high pairs moves with bidder i's
+    # bid beyond its own bit whenever a neighbour bids high
+    popcount = enumeration.popcount
+
+    def count(masks):
+        return popcount(masks) + popcount(masks & (masks >> 1))
+
+    def statistic(mask, i):
+        return int(count(np.array([mask]))[0]) - ((mask >> (i - 1)) & 1)
+
+    monkeypatch.setattr(enumeration, "popcount", count)
+    want = _smallest_witnesses(n, lambda m, f, i: statistic(m, i) != statistic(f, i))
+    assert want == [(1, 2)] + [(i, 1 << (i - 2)) for i in range(2, n + 1)]
+    got = bid_independence_violations(AuctionParams(n, 2), "random")
+    assert [(i, b.mask) for i, b in got] == want
