@@ -20,12 +20,13 @@ from typing import Optional, Union
 import numpy as np
 
 from . import enumeration
-from .auctions import (
+from .auctions import (  # AUCTION_NAMES stays readable as analysis.AUCTION_NAMES
     AUCTION_NAMES,
     derand_modulus,
     derand_run,
     expected_revenue_by_count,
     _offer_threshold_by_count,
+    require_auction,
     require_divisible,
     run_auction,
 )
@@ -44,6 +45,9 @@ ENUMERATION_CAP = 30
 # quadratic in n: about half a second at this cap.
 DEMO_N_LIMIT = 1 << 16
 _MC_CHUNK = 1 << 14
+# Each Monte Carlo chunk holds a (_MC_CHUNK, n) bool bid matrix: at most
+# 256 MiB at this cap.
+MC_N_LIMIT = 1 << 14
 # Draws per Monte Carlo block: one block's 8-byte matrix is at most 4 MB.
 _MC_BLOCK_DRAWS = 1 << 19
 _NEG_INF = np.int64(-(1 << 60))
@@ -79,8 +83,7 @@ def additive_loss(b: BidVector, auction: str) -> Loss:
     vector.  Deterministic auctions give an int, "random" its exact expected
     loss as a SurdSum.
     """
-    if auction not in AUCTION_NAMES:
-        raise ValueError(f"unknown auction {auction!r}; expected one of {AUCTION_NAMES}")
+    require_auction(auction)
     if auction == "random":
         return SurdSum.of(offline_optimal(b)) - expected_revenue_by_count(
             b.n, b.h, count_high(b)
@@ -139,8 +142,7 @@ def _map_chunks(fn, jobs: list, threads: Optional[int]) -> list:
 
 
 def _check_sweep_args(params: AuctionParams, auction: str) -> None:
-    if auction not in AUCTION_NAMES:
-        raise ValueError(f"unknown auction {auction!r}; expected one of {AUCTION_NAMES}")
+    require_auction(auction)
     if auction == "threshold-dop":
         require_divisible(params.n, params.h)
     if auction != "random":
@@ -414,8 +416,7 @@ def bid_independence_violations(
     statistic its offer distribution is a function of.
     """
     n, h = params.n, params.h
-    if auction not in AUCTION_NAMES:
-        raise ValueError(f"unknown auction {auction!r}; expected one of {AUCTION_NAMES}")
+    require_auction(auction)
     _require_enumerable(n, limit)
     ranges = _mask_ranges(n)
     if auction == "random":
@@ -608,12 +609,10 @@ def monte_carlo_under_d(
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if auction not in AUCTION_NAMES:
-        raise ValueError(f"unknown auction {auction!r}; expected one of {AUCTION_NAMES}")
-    if auction == "threshold-dop":
-        require_divisible(n, h)
-    AuctionParams(n, h)  # validate
-    _require_kernel_domain(n, h)
+    _check_sweep_args(AuctionParams(n, h), auction)
+    _require_kernel_domain(n, h)  # the random auction's sums are int64 too
+    if n > MC_N_LIMIT:
+        raise ValueError(f"n={n} exceeds the Monte Carlo limit {MC_N_LIMIT}")
 
     sizes = []
     remaining = samples

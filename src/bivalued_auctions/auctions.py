@@ -33,6 +33,11 @@ def require_divisible(n: int, h: int) -> None:
         raise ValueError(f"h={h} must divide n={n}")
 
 
+def require_auction(auction: str) -> None:
+    if auction not in AUCTION_NAMES:
+        raise ValueError(f"unknown auction {auction!r}; expected one of {AUCTION_NAMES}")
+
+
 # ---------------------------------------------------------------------------
 # DOP and its threshold variant
 # ---------------------------------------------------------------------------

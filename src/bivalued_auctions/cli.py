@@ -22,9 +22,6 @@ from .auctions import AUCTION_NAMES, expected_revenue_by_count
 from .core import AuctionParams, BidVector, count_high, offline_optimal
 from .exact import SurdSum
 
-_BATCH_COMMANDS = ("sweep", "demo-dop", "dist-d", "mc", "block-check", "expectation")
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors by default; the contract here is 1."""
 
@@ -174,7 +171,27 @@ def _demo_dop_rows(ns: argparse.Namespace) -> list[dict]:
     return [row]
 
 
+# Every integer in the exact fields of dist-d and mc is below h**n * h * n,
+# and Python prints no int of more than 4300 digits (the default of
+# sys.set_int_max_str_digits).
+_PRINTABLE = 10**4300
+
+
+def _require_printable(n: int, h: int) -> None:
+    """Reject, before any arithmetic, an (n, h) with h | n whose exact fields
+    could not be printed."""
+    # h**n >= 2**(n * (h.bit_length() - 1)), so a huge n never builds h**n
+    if n % h == 0 and (
+        n * (h.bit_length() - 1) >= _PRINTABLE.bit_length() or h**n * h * n >= _PRINTABLE
+    ):
+        raise ValueError(
+            f"n={n}, h={h}: the exact fields need h**n*h*n < 10**4300, "
+            "the 4300-digit limit for printing an integer"
+        )
+
+
 def _dist_d_rows(ns: argparse.Namespace) -> list[dict]:
+    _require_printable(ns.n, ns.h)
     e_opt, e_dop, gap = analysis.check_distribution_identities(ns.n, ns.h)
     row = reports.empty_row()
     row.update(
@@ -196,6 +213,7 @@ def _dist_d_rows(ns: argparse.Namespace) -> list[dict]:
 
 
 def _mc_rows(ns: argparse.Namespace) -> list[dict]:
+    _require_printable(ns.n, ns.h)
     report = analysis.monte_carlo_under_d(
         ns.n, ns.h, ns.auction, ns.samples, ns.seed, threads=ns.threads
     )
@@ -279,84 +297,49 @@ def _expectation_rows(ns: argparse.Namespace) -> list[dict]:
 # Batch mode
 # ---------------------------------------------------------------------------
 
-_BATCH_REQUIRED = {
-    "sweep": ("n", "h", "auction"),
-    "demo-dop": ("h",),
-    "dist-d": ("n", "h"),
-    "mc": ("n", "h", "auction", "samples", "seed"),
-    "block-check": ("n", "h"),
-    "expectation": ("n", "h"),
-}
-_BATCH_OPTIONAL = {
-    "sweep": ("limit",),
-    "demo-dop": ("n",),
-    "dist-d": (),
-    "mc": (),
-    "block-check": ("limit",),
-    "expectation": ("bids",),
-}
-# Per-entry output settings are meaningless in an aggregated report; tolerated
-# so one config file can also drive single runs.
-_BATCH_IGNORED = ("format", "output")
 
-_INT_MINIMUM = {"n": 1, "h": 2, "samples": 1, "limit": 1, "seed": 0}
-
-
-def _entry_int(index: int, entry: dict, key: str) -> int:
-    value = entry[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"entry {index}: field {key!r} must be an integer")
-    if value < _INT_MINIMUM[key]:
-        raise ValueError(f"entry {index}: field {key!r} must be >= {_INT_MINIMUM[key]}")
-    if key == "seed" and value >= 1 << 64:
-        raise ValueError(f"entry {index}: field 'seed' must fit in 64 bits")
-    return value
-
-
-def _validate_entry(index: int, entry: object, args: argparse.Namespace) -> argparse.Namespace:
+def _validate_entry(
+    index: int, entry: object, fields: dict[str, list[argparse.Action]], args: argparse.Namespace
+) -> argparse.Namespace:
+    """Check one entry against its subcommand's flags: each field is a flag,
+    and each value passes that flag's converter or choices."""
     if not isinstance(entry, dict):
         raise ValueError(f"entry {index}: must be an object")
     command = entry.get("command")
-    if command not in _BATCH_COMMANDS:
-        raise ValueError(
-            f"entry {index}: field 'command' must be one of {', '.join(_BATCH_COMMANDS)}"
-        )
-    required = _BATCH_REQUIRED[command]
-    optional = _BATCH_OPTIONAL[command]
-    allowed = {"command", *required, *optional, *_BATCH_IGNORED}
+    if command not in tuple(fields):  # not a dict lookup: a list command is unhashable
+        raise ValueError(f"entry {index}: field 'command' must be one of {', '.join(fields)}")
+    actions = fields[command]
     for key in entry:
-        if key not in allowed:
+        if key != "command" and key not in {a.dest for a in actions}:
             raise ValueError(f"entry {index}: unknown field {key!r} for command {command!r}")
-    for key in required:
-        if key not in entry:
-            raise ValueError(f"entry {index}: missing field {key!r}")
+    for action in actions:
+        if action.required and action.dest not in entry:
+            raise ValueError(f"entry {index}: missing field {action.dest!r}")
 
-    ns = argparse.Namespace(
-        command=command,
-        n=None,
-        h=None,
-        auction=None,
-        samples=None,
-        seed=None,
-        bids=None,
-        limit=args.limit,
-        threads=args.threads,
-    )
-    for key in required + tuple(k for k in optional if k in entry):
-        if key in ("n", "h", "samples", "seed", "limit"):
-            setattr(ns, key, _entry_int(index, entry, key))
-        elif key == "auction":
-            value = entry[key]
-            if value not in AUCTION_NAMES:
+    ns = argparse.Namespace(**{a.dest: a.default for a in actions})
+    ns.command, ns.threads, ns.limit = command, args.threads, args.limit
+    for action in actions:
+        key = action.dest
+        # per-entry output settings are meaningless in an aggregated report;
+        # tolerated so one config file can also drive single runs
+        if key not in entry or key in ("format", "output"):
+            continue
+        value = entry[key]
+        if action.choices is not None:
+            if value not in action.choices:
                 raise ValueError(
-                    f"entry {index}: field 'auction' must be one of {', '.join(AUCTION_NAMES)}"
+                    f"entry {index}: field {key!r} must be one of {', '.join(action.choices)}"
                 )
-            ns.auction = value
-        elif key == "bids":
-            value = entry[key]
-            if not isinstance(value, str):
-                raise ValueError(f"entry {index}: field 'bids' must be a string")
-            ns.bids = value
+        elif action.type is not None:
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"entry {index}: field {key!r} must be an integer")
+            try:
+                value = action.type(str(value))
+            except argparse.ArgumentTypeError as exc:
+                raise ValueError(f"entry {index}: field {key!r} {exc}") from None
+        elif not isinstance(value, str):
+            raise ValueError(f"entry {index}: field {key!r} must be a string")
+        setattr(ns, key, value)
 
     needs_divisible = command in ("dist-d", "demo-dop") or (
         command in ("sweep", "mc") and ns.auction == "threshold-dop"
@@ -376,9 +359,18 @@ def _batch_rows(args: argparse.Namespace) -> list[dict]:
             raise ValueError(f"{args.config}: parse failure: nested too deeply") from None
     if not isinstance(entries, list):
         raise ValueError(f"{args.config}: top level must be a JSON array")
+    # argparse has no public way to read a parser's arguments back, so an
+    # entry's fields are its subparser's _actions, less help and threads;
+    # the batch sets threads for every entry
+    commands = next(a for a in build_parser()._actions if a.dest == "command").choices
+    fields = {
+        name: [a for a in sp._actions if a.dest not in ("help", "threads")]
+        for name, sp in commands.items()
+        if name != "batch"
+    }
     # Validate everything before running anything: one malformed entry must
     # fail the whole batch with no partial output.
-    jobs = [_validate_entry(i, entry, args) for i, entry in enumerate(entries)]
+    jobs = [_validate_entry(i, entry, fields, args) for i, entry in enumerate(entries)]
     rows: list[dict] = []
     for ns in jobs:
         rows.extend(_HANDLERS[ns.command](ns))

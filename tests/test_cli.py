@@ -163,6 +163,29 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err.startswith("error:") and "enumeration cap" in err
 
+    @pytest.mark.parametrize("h, last, first", [(2, 14268, 14270), (10, 4290, 4300)])
+    def test_unprintable_exact_fields_are_one(self, capsys, h, last, first):
+        code, out, err = run_cli(capsys, "dist-d", "--n", str(last), "--h", str(h))
+        assert code == 0 and err == "" and len(out.splitlines()) == 2
+        for argv in (
+            ("dist-d", "--n", str(first), "--h", str(h)),
+            ("dist-d", "--n", str(10**7 // h * h), "--h", str(h)),
+            ("mc", "--n", str(first), "--h", str(h), "--auction", "dop",
+             "--samples", "1", "--seed", "1"),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 1 and out == ""
+            assert err.startswith("error:") and "10**4300" in err
+
+    def test_monte_carlo_n_limit_is_one(self, capsys):
+        n = analysis.MC_N_LIMIT + 1
+        code, out, err = run_cli(
+            capsys, "mc", "--n", str(n), "--h", "2", "--auction", "dop",
+            "--samples", "1", "--seed", "1",
+        )
+        assert code == 1 and out == ""
+        assert err == f"error: n={n} exceeds the Monte Carlo limit {analysis.MC_N_LIMIT}\n"
+
     def test_perturbed_identity_is_two(self, capsys, monkeypatch):
         monkeypatch.setattr(analysis, "exact_e_dop_under_d", lambda n, h: Fraction(1))
         code, out, err = run_cli(capsys, "dist-d", "--n", "4", "--h", "2")
@@ -280,3 +303,70 @@ class TestBatch:
         code, out, _ = run_cli(capsys, "batch", path)
         assert code == 0
         assert len(out.splitlines()) == 1 + len(entries)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_batch_equals_single_commands(self, capsys, tmp_path, fmt):
+        jobs = [
+            *(({"command": "sweep", "n": 6, "h": 3, "auction": a},
+               ["sweep", "--n", "6", "--h", "3", "--auction", a])
+              for a in ("dop", "threshold-dop", "derand", "random")),
+            ({"command": "sweep", "n": 7, "h": 2, "auction": "derand", "limit": 7},
+             ["sweep", "--n", "7", "--h", "2", "--auction", "derand", "--limit", "7"]),
+            ({"command": "demo-dop", "h": 3}, ["demo-dop", "--h", "3"]),
+            ({"command": "demo-dop", "h": 2, "n": 8, "format": "json", "output": "x.csv"},
+             ["demo-dop", "--h", "2", "--n", "8"]),
+            ({"command": "dist-d", "n": 12, "h": 3}, ["dist-d", "--n", "12", "--h", "3"]),
+            ({"command": "mc", "n": 12, "h": 3, "auction": "random", "samples": 500, "seed": 5},
+             ["mc", "--n", "12", "--h", "3", "--auction", "random", "--samples", "500",
+              "--seed", "5"]),
+            ({"command": "block-check", "n": 6, "h": 2, "limit": 6},
+             ["block-check", "--n", "6", "--h", "2", "--limit", "6"]),
+            ({"command": "expectation", "n": 4, "h": 2}, ["expectation", "--n", "4", "--h", "2"]),
+            ({"command": "expectation", "n": 4, "h": 2, "bids": "HLHL"},
+             ["expectation", "--n", "4", "--h", "2", "--bids", "HLHL"]),
+        ]
+        path = self.write(tmp_path, [entry for entry, _ in jobs])
+        code, batch, err = run_cli(capsys, "batch", path, "--format", fmt)
+        assert code == 0 and err == ""
+        singles = []
+        for _, argv in jobs:
+            code, out, err = run_cli(capsys, *argv, "--format", fmt)
+            assert code == 0 and err == ""
+            singles.append(out)
+        if fmt == "csv":
+            assert batch == HEADER + "\n" + "".join(out.split("\n", 1)[1] for out in singles)
+        else:
+            rows = [row for out in singles for row in json.loads(out)["rows"]]
+            assert json.loads(batch) == {"columns": list(CSV_COLUMNS), "rows": rows}
+
+    DIST_D = {"command": "dist-d", "n": 4, "h": 2}
+    MC = {"command": "mc", "n": 4, "h": 2, "auction": "dop", "samples": 10, "seed": 1}
+
+    @pytest.mark.parametrize("entries, message", [
+        ([5], "entry 0: must be an object"),
+        ([DIST_D, {"command": ["dist-d"]}],
+         "entry 1: field 'command' must be one of "
+         "sweep, demo-dop, dist-d, mc, block-check, expectation"),
+        ([{"command": "batch"}], "entry 0: field 'command' must be one of "
+         "sweep, demo-dop, dist-d, mc, block-check, expectation"),
+        ([{**MC, "threads": 2}], "entry 0: unknown field 'threads' for command 'mc'"),
+        ([{"command": "dist-d", "n": 0, "color": 1}],
+         "entry 0: unknown field 'color' for command 'dist-d'"),
+        ([{"command": "dist-d", "n": 0}], "entry 0: missing field 'h'"),
+        ([{**DIST_D, "n": True}], "entry 0: field 'n' must be an integer"),
+        ([{**DIST_D, "n": "4"}], "entry 0: field 'n' must be an integer"),
+        ([{**DIST_D, "h": 1}], "entry 0: field 'h' must be >= 2"),
+        ([{**MC, "samples": 0}], "entry 0: field 'samples' must be >= 1"),
+        ([{**MC, "seed": -1}], "entry 0: field 'seed' must fit in 64 bits"),
+        ([{**MC, "seed": 1 << 64}], "entry 0: field 'seed' must fit in 64 bits"),
+        ([{**MC, "auction": ["dop"]}],
+         "entry 0: field 'auction' must be one of dop, threshold-dop, derand, random"),
+        ([{**DIST_D, "bids": "HH"}], "entry 0: unknown field 'bids' for command 'dist-d'"),
+        ([{"command": "expectation", "n": 2, "h": 2, "bids": 5}],
+         "entry 0: field 'bids' must be a string"),
+        ([DIST_D, {"command": "demo-dop", "h": 3, "n": 4}],
+         "entry 1: n=4 must be divisible by h=3"),
+    ])
+    def test_malformed_entry_message(self, capsys, tmp_path, entries, message):
+        code, out, err = run_cli(capsys, "batch", self.write(tmp_path, entries))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
