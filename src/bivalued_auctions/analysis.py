@@ -48,6 +48,9 @@ _MC_CHUNK = 1 << 14
 # Each Monte Carlo chunk holds a (_MC_CHUNK, n) bool bid matrix: at most
 # 256 MiB at this cap.
 MC_N_LIMIT = 1 << 14
+# Monte Carlo lists every chunk, and with threads submits each to a pool, before
+# any draw: 2**30 samples are 2**16 chunks, which peaked at 134 MB on 2 threads.
+MC_SAMPLES_LIMIT = 1 << 30
 # Draws per Monte Carlo block: one block's 8-byte matrix is at most 4 MB.
 _MC_BLOCK_DRAWS = 1 << 19
 _NEG_INF = np.int64(-(1 << 60))
@@ -149,6 +152,13 @@ def _check_sweep_args(params: AuctionParams, auction: str) -> None:
         _require_kernel_domain(params.n, params.h)
 
 
+def check_sweep(params: AuctionParams, auction: str, limit: int) -> None:
+    """Raise ValueError unless worst_case_sweep accepts these arguments."""
+    _check_sweep_args(params, auction)
+    if params.n > limit:
+        raise ValueError(f"n={params.n} exceeds enumeration limit {limit}")
+
+
 def _lex_least(params: AuctionParams, k: int, index_sum: int) -> BidVector:
     """The lexicographically least vector with k high bids at indices that
     sum to index_sum: each bidder in turn bids low unless the remaining high
@@ -187,9 +197,7 @@ def worst_case_sweep(
     no effect, since the sweep does no chunked work.
     """
     n, h = params.n, params.h
-    _check_sweep_args(params, auction)
-    if n > limit:
-        raise ValueError(f"n={n} exceeds enumeration limit {limit}")
+    check_sweep(params, auction, limit)
 
     per_nh: dict[int, Loss] = {}
     worst_sum: dict[int, int] = {}
@@ -308,17 +316,21 @@ def enumerated_sweep(
 # ---------------------------------------------------------------------------
 
 
+def check_demo(h: int, n: int) -> None:
+    """Raise ValueError unless dop_unboundedness_demo accepts (h, n)."""
+    if n > DEMO_N_LIMIT:
+        raise ValueError(f"n={n} exceeds the demo limit {DEMO_N_LIMIT}")
+    require_divisible(n, h)
+
+
 def dop_unboundedness_demo(h: int, n: Optional[int] = None) -> Fraction:
     """Benchmark-to-revenue ratio of DOP on a vector with exactly n/h high bids.
 
     Returns n / n_high = h: on this input DOP offers every high bidder 1 and
     every low bidder h, so only the high bidders pay, 1 each.
     """
-    if n is None:
-        n = h * h
-    if n > DEMO_N_LIMIT:
-        raise ValueError(f"n={n} exceeds the demo limit {DEMO_N_LIMIT}")
-    require_divisible(n, h)
+    n = h * h if n is None else n
+    check_demo(h, n)
     params = AuctionParams(n, h)
     n_high = n // h
     b = BidVector(params, ((1 << n_high) - 1) << (n - n_high))
@@ -382,14 +394,19 @@ def block_structure_check(b: BidVector, offers: Optional[tuple[int, ...]] = None
     return BlockCheckResult(True, None)
 
 
+def check_block_sweep(params: AuctionParams, limit: int) -> None:
+    """Raise ValueError unless block_structure_sweep accepts these arguments."""
+    _require_enumerable(params.n, limit)
+    _require_kernel_domain(params.n, params.h)
+
+
 def block_structure_sweep(
     params: AuctionParams, *, limit: int = DEFAULT_ENUMERATION_LIMIT
 ) -> tuple[int, Optional[tuple[BidVector, BlockViolation]]]:
     """Run the block checker on every vector, with the offers taken from the
     vector kernel; (count checked, first failure)."""
     n, h = params.n, params.h
-    _require_enumerable(n, limit)
-    _require_kernel_domain(n, h)
+    check_block_sweep(params, limit)
     for lo, hi in _mask_ranges(n):
         offered_h = enumeration.offers_for_bidder(enumeration.mask_array(lo, hi), n, h, "derand")
         rows = np.where(offered_h, h, LOW_VALUE).T.tolist()
@@ -591,6 +608,18 @@ def _mean_stderr(total: int, total_sq: int, count: int) -> tuple[float, float]:
     return mean, sqrt(max(float(var), 0.0) / count)
 
 
+def check_monte_carlo(n: int, h: int, auction: str, samples: int) -> None:
+    """Raise ValueError unless monte_carlo_under_d accepts these arguments."""
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    _check_sweep_args(AuctionParams(n, h), auction)
+    _require_kernel_domain(n, h)  # the random auction's sums are int64 too
+    if n > MC_N_LIMIT:
+        raise ValueError(f"n={n} exceeds the Monte Carlo limit {MC_N_LIMIT}")
+    if samples > MC_SAMPLES_LIMIT:
+        raise ValueError(f"samples={samples} exceeds the Monte Carlo limit {MC_SAMPLES_LIMIT}")
+
+
 def monte_carlo_under_d(
     n: int,
     h: int,
@@ -607,18 +636,9 @@ def monte_carlo_under_d(
     bid-independent auction with offers in {1, h} earns exactly 1 per bidder
     in expectation here, so the auction mean must sit near n.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    _check_sweep_args(AuctionParams(n, h), auction)
-    _require_kernel_domain(n, h)  # the random auction's sums are int64 too
-    if n > MC_N_LIMIT:
-        raise ValueError(f"n={n} exceeds the Monte Carlo limit {MC_N_LIMIT}")
+    check_monte_carlo(n, h, auction, samples)
 
-    sizes = []
-    remaining = samples
-    while remaining > 0:
-        sizes.append(min(_MC_CHUNK, remaining))
-        remaining -= _MC_CHUNK
+    sizes = [min(_MC_CHUNK, samples - lo) for lo in range(0, samples, _MC_CHUNK)]
 
     def one_chunk(args: tuple[int, int]) -> tuple[int, int, int, int]:
         stream, rows = args

@@ -30,7 +30,7 @@ DETERMINISTIC_AUCTIONS = ("dop", "threshold-dop", "derand")
 
 def require_divisible(n: int, h: int) -> None:
     if n % h != 0:
-        raise ValueError(f"h={h} must divide n={n}")
+        raise ValueError(f"n={n} must be divisible by h={h}")
 
 
 def require_auction(auction: str) -> None:

@@ -18,7 +18,7 @@ from typing import Optional
 
 from . import analysis, reports
 from .analysis import DEFAULT_ENUMERATION_LIMIT, IdentityCheckError
-from .auctions import AUCTION_NAMES, expected_revenue_by_count
+from .auctions import AUCTION_NAMES, expected_revenue_by_count, require_divisible
 from .core import AuctionParams, BidVector, count_high, offline_optimal
 from .exact import SurdSum
 
@@ -191,7 +191,6 @@ def _require_printable(n: int, h: int) -> None:
 
 
 def _dist_d_rows(ns: argparse.Namespace) -> list[dict]:
-    _require_printable(ns.n, ns.h)
     e_opt, e_dop, gap = analysis.check_distribution_identities(ns.n, ns.h)
     row = reports.empty_row()
     row.update(
@@ -213,7 +212,6 @@ def _dist_d_rows(ns: argparse.Namespace) -> list[dict]:
 
 
 def _mc_rows(ns: argparse.Namespace) -> list[dict]:
-    _require_printable(ns.n, ns.h)
     report = analysis.monte_carlo_under_d(
         ns.n, ns.h, ns.auction, ns.samples, ns.seed, threads=ns.threads
     )
@@ -340,12 +338,10 @@ def _validate_entry(
         elif not isinstance(value, str):
             raise ValueError(f"entry {index}: field {key!r} must be a string")
         setattr(ns, key, value)
-
-    needs_divisible = command in ("dist-d", "demo-dop") or (
-        command in ("sweep", "mc") and ns.auction == "threshold-dop"
-    )
-    if needs_divisible and ns.n is not None and ns.n % ns.h != 0:
-        raise ValueError(f"entry {index}: n={ns.n} must be divisible by h={ns.h}")
+    try:
+        _DOMAINS[command](ns)
+    except ValueError as exc:
+        raise ValueError(f"entry {index}: {exc}") from None
     return ns
 
 
@@ -368,14 +364,37 @@ def _batch_rows(args: argparse.Namespace) -> list[dict]:
         for name, sp in commands.items()
         if name != "batch"
     }
-    # Validate everything before running anything: one malformed entry must
-    # fail the whole batch with no partial output.
+    # Validate everything, domains included, before running anything: one
+    # bad entry must fail the whole batch at once, with no partial output.
     jobs = [_validate_entry(i, entry, fields, args) for i, entry in enumerate(entries)]
-    rows: list[dict] = []
-    for ns in jobs:
-        rows.extend(_HANDLERS[ns.command](ns))
-    return rows
+    return [row for ns in jobs for row in _HANDLERS[ns.command](ns)]
 
+
+def _dist_d_domain(ns: argparse.Namespace) -> None:
+    _require_printable(ns.n, ns.h)
+    require_divisible(ns.n, ns.h)
+
+
+def _mc_domain(ns: argparse.Namespace) -> None:
+    _require_printable(ns.n, ns.h)
+    analysis.check_monte_carlo(ns.n, ns.h, ns.auction, ns.samples)
+
+
+def _expectation_domain(ns: argparse.Namespace) -> None:
+    if ns.bids is not None:
+        BidVector.from_string(AuctionParams(ns.n, ns.h), ns.bids)
+
+
+# Each command's input domain: raises ValueError for any input the command rejects.
+_DOMAINS = {
+    "sweep": lambda ns: analysis.check_sweep(AuctionParams(ns.n, ns.h), ns.auction, ns.limit),
+    "demo-dop": lambda ns: analysis.check_demo(ns.h, ns.h * ns.h if ns.n is None else ns.n),
+    "dist-d": _dist_d_domain,
+    "mc": _mc_domain,
+    "block-check": lambda ns: analysis.check_block_sweep(AuctionParams(ns.n, ns.h), ns.limit),
+    "expectation": _expectation_domain,
+    "batch": lambda ns: None,  # _batch_rows checks each entry's domain before any runs
+}
 
 _HANDLERS = {
     "sweep": _sweep_rows,
@@ -392,6 +411,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _DOMAINS[args.command](args)
         rows = _HANDLERS[args.command](args)
         text = reports.render(rows, args.format)
     except IdentityCheckError as exc:

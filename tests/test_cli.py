@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from bivalued_auctions import analysis
+from bivalued_auctions import analysis, cli
 from bivalued_auctions.cli import main
 from bivalued_auctions.reports import CSV_COLUMNS
 
@@ -186,6 +186,19 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err == f"error: n={n} exceeds the Monte Carlo limit {analysis.MC_N_LIMIT}\n"
 
+    def test_monte_carlo_samples_limit_is_one(self, capsys):
+        analysis.check_monte_carlo(4, 2, "dop", analysis.MC_SAMPLES_LIMIT)
+        for samples in (analysis.MC_SAMPLES_LIMIT + 1, 10**18):
+            code, out, err = run_cli(
+                capsys, "mc", "--n", "4", "--h", "2", "--auction", "dop",
+                "--samples", str(samples), "--seed", "1", "--threads", "1",
+            )
+            assert code == 1 and out == ""
+            assert err == (
+                f"error: samples={samples} exceeds the Monte Carlo limit "
+                f"{analysis.MC_SAMPLES_LIMIT}\n"
+            )
+
     def test_perturbed_identity_is_two(self, capsys, monkeypatch):
         monkeypatch.setattr(analysis, "exact_e_dop_under_d", lambda n, h: Fraction(1))
         code, out, err = run_cli(capsys, "dist-d", "--n", "4", "--h", "2")
@@ -222,6 +235,17 @@ class TestOutputFile:
             capsys, "demo-dop", "--h", "2", "--output", str(tmp_path / "no" / "dir.csv")
         )
         assert code == 1 and "error" in err
+
+
+@pytest.fixture
+def no_handlers(monkeypatch):
+    """Every command handler but batch's raises if it is called."""
+    def never(ns):
+        raise AssertionError(f"{ns.command} handler ran")
+
+    for name in cli._HANDLERS:
+        if name != "batch":
+            monkeypatch.setitem(cli._HANDLERS, name, never)
 
 
 class TestBatch:
@@ -370,3 +394,53 @@ class TestBatch:
     def test_malformed_entry_message(self, capsys, tmp_path, entries, message):
         code, out, err = run_cli(capsys, "batch", self.write(tmp_path, entries))
         assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    # One entry per domain guard: the out-of-domain entry, and the message its
+    # single command prints.
+    @pytest.mark.parametrize("bad, message", [
+        ({"command": "block-check", "n": 64, "h": 2, "limit": 64},
+         "n=64 exceeds the enumeration cap 30"),
+        ({"command": "sweep", "n": 6, "h": 2, "auction": "derand", "limit": 5},
+         "n=6 exceeds enumeration limit 5"),
+        ({"command": "sweep", "n": 4, "h": 1 << 62, "auction": "dop"},
+         "h*n = 18446744073709551616 is outside the int64 kernel domain h*n <= 16777216"),
+        ({**MC, "n": 16385}, "n=16385 exceeds the Monte Carlo limit 16384"),
+        ({"command": "dist-d", "n": 4300, "h": 10},
+         "n=4300, h=10: the exact fields need h**n*h*n < 10**4300, "
+         "the 4300-digit limit for printing an integer"),
+        ({**MC, "n": 4300, "h": 10},
+         "n=4300, h=10: the exact fields need h**n*h*n < 10**4300, "
+         "the 4300-digit limit for printing an integer"),
+        ({"command": "demo-dop", "h": 2, "n": 65538}, "n=65538 exceeds the demo limit 65536"),
+        ({"command": "dist-d", "n": 7, "h": 2}, "n=7 must be divisible by h=2"),
+        ({"command": "demo-dop", "h": 3, "n": 4}, "n=4 must be divisible by h=3"),
+        ({"command": "sweep", "n": 7, "h": 2, "auction": "threshold-dop"},
+         "n=7 must be divisible by h=2"),
+        ({**MC, "n": 7, "auction": "threshold-dop"}, "n=7 must be divisible by h=2"),
+        ({"command": "expectation", "n": 4, "h": 2, "bids": "HHXH"},
+         "bid character 'X' not in {'L', 'H'}"),
+        ({"command": "expectation", "n": 4, "h": 2, "bids": "HHH"},
+         "expected 4 characters, got 3"),
+        ({**MC, "samples": 10**18},
+         "samples=1000000000000000000 exceeds the Monte Carlo limit 1073741824"),
+    ], ids=["enumeration-cap", "limit", "int64", "mc-n", "printable-dist-d", "printable-mc",
+            "demo-limit", "divisible-dist-d", "divisible-demo-dop", "divisible-sweep",
+            "divisible-mc", "bids-character", "bids-length", "samples"])
+    def test_domain_checked_before_any_entry_runs(
+        self, capsys, tmp_path, no_handlers, bad, message
+    ):
+        single = [bad["command"]]
+        for key, value in bad.items():
+            if key != "command":
+                single += [f"--{key}", str(value)]
+        assert run_cli(capsys, *single) == (1, "", f"error: {message}\n")
+        path = self.write(tmp_path, [{"command": "block-check", "n": 15, "h": 3}, bad])
+        code, out, err = run_cli(capsys, "batch", path)
+        assert (code, out, err) == (1, "", f"error: entry 1: {message}\n")
+
+    def test_in_domain_entries_reach_their_handler(self, capsys, tmp_path, no_handlers):
+        with pytest.raises(AssertionError, match="demo-dop handler ran"):
+            main(["demo-dop", "--h", "3"])
+        path = self.write(tmp_path, [{"command": "block-check", "n": 15, "h": 3}])
+        with pytest.raises(AssertionError, match="block-check handler ran"):
+            main(["batch", path])
