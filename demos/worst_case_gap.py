@@ -1,6 +1,8 @@
-# Sweep every bid vector on a small grid and compare the worst additive loss
-# of each auction against the distributional lower bound.  The derandomized
-# auction should track C*sqrt(n*h) while DOP blows up linearly in h.
+# Take each auction's worst additive loss on a small grid, exact over all bid
+# vectors but computed class by class (per high count, and per high-index sum
+# for derand), and compare it against the distributional lower bound.  The
+# derandomized auction should track C*sqrt(n*h) while DOP blows up linearly
+# in h.
 
 import math
 

@@ -1,9 +1,11 @@
 """Certification machinery.
 
-Exhaustive worst-case additive-loss sweeps, exact expectation identities
-under the hard i.i.d. bid distribution (high with probability 1/h), Monte
-Carlo estimates with per-chunk seed streams, and the block-structure verifier
-for the derandomized offer rule.
+Worst-case additive loss, exact over all bid vectors but taken class by
+class (per high count k, and per high-index sum S for derand) rather than
+vector by vector; exact expectation identities under the hard i.i.d. bid
+distribution (high with probability 1/h); Monte Carlo estimates with
+per-chunk seed streams; and the block-structure verifier for the
+derandomized offer rule.
 
 All identity work is exact (Fraction / SurdSum); floating point only ever
 appears in Monte Carlo summaries, which carry standard errors.

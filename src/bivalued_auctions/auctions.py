@@ -92,14 +92,13 @@ def expected_revenue_by_count(n: int, h: int, n_high: int) -> SurdSum:
     """Exact expected revenue of the randomized auction on any vector with
     n_high high bids.
 
-    By linearity: each of the n - n_high low bidders pays 1 unless offered h,
-    each high bidder pays h when offered h and 1 otherwise.
+    By linearity every bidder pays 1, less 1 for each low bidder offered h
+    (probability p(n_high)), plus h - 1 for each high bidder offered h
+    (probability p(n_high - 1)).
     """
-    p_low_h = offer_probability_by_count(n, h, n_high)
-    total = (n - n_high) * (SurdSum.of(1) - p_low_h)
+    total = n - (n - n_high) * offer_probability_by_count(n, h, n_high)
     if n_high > 0:
-        p_high_h = offer_probability_by_count(n, h, n_high - 1)
-        total = total + n_high * (h * p_high_h + (SurdSum.of(1) - p_high_h))
+        total = total + (h - 1) * n_high * offer_probability_by_count(n, h, n_high - 1)
     return total
 
 

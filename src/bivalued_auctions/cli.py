@@ -3,6 +3,8 @@
 Every analysis operation is exposed as a subcommand emitting CSV or JSON over
 one fixed column set (see reports.CSV_COLUMNS).  Identical invocations give
 byte-identical output; Monte Carlo randomness is fully determined by --seed.
+Each subcommand is declared once, in build_parser: its subparser carries the
+command's domain check and row builder as the defaults `domain` and `rows`.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 violated exact
 invariant (the regression alarm, wired to the identity checks).
@@ -20,7 +22,6 @@ from . import analysis, reports
 from .analysis import DEFAULT_ENUMERATION_LIMIT, IdentityCheckError
 from .auctions import AUCTION_NAMES, expected_revenue_by_count, require_divisible
 from .core import AuctionParams, BidVector, count_high, offline_optimal
-from .exact import SurdSum
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors by default; the contract here is 1."""
@@ -76,16 +77,25 @@ def build_parser() -> _Parser:
     sp.add_argument("--limit", type=_positive_int, default=DEFAULT_ENUMERATION_LIMIT,
                     help="largest n accepted")
     _add_output_flags(sp)
+    sp.set_defaults(
+        domain=lambda ns: analysis.check_sweep(AuctionParams(ns.n, ns.h), ns.auction, ns.limit),
+        rows=_sweep_rows,
+    )
 
     sp = sub.add_parser("demo-dop", help="exhibit the deterministic-offer failure ratio h")
     sp.add_argument("--h", type=_h_value, required=True)
     sp.add_argument("--n", type=_positive_int, default=None, help="defaults to h*h")
     _add_output_flags(sp)
+    sp.set_defaults(
+        domain=lambda ns: analysis.check_demo(ns.h, ns.h * ns.h if ns.n is None else ns.n),
+        rows=_demo_dop_rows,
+    )
 
     sp = sub.add_parser("dist-d", help="exact expectation identities under the hard distribution")
     sp.add_argument("--n", type=_positive_int, required=True)
     sp.add_argument("--h", type=_h_value, required=True)
     _add_output_flags(sp)
+    sp.set_defaults(domain=_dist_d_domain, rows=_dist_d_rows)
 
     sp = sub.add_parser("mc", help="Monte Carlo revenue estimates under the hard distribution")
     sp.add_argument("--n", type=_positive_int, required=True)
@@ -95,12 +105,17 @@ def build_parser() -> _Parser:
     sp.add_argument("--seed", type=_seed_value, required=True)
     sp.add_argument("--threads", type=_positive_int, default=os.cpu_count() or 1)
     _add_output_flags(sp)
+    sp.set_defaults(domain=_mc_domain, rows=_mc_rows)
 
     sp = sub.add_parser("block-check", help="verify derandomized offer block structure on every vector")
     sp.add_argument("--n", type=_positive_int, required=True)
     sp.add_argument("--h", type=_h_value, required=True)
     sp.add_argument("--limit", type=_positive_int, default=DEFAULT_ENUMERATION_LIMIT)
     _add_output_flags(sp)
+    sp.set_defaults(
+        domain=lambda ns: analysis.check_block_sweep(AuctionParams(ns.n, ns.h), ns.limit),
+        rows=_block_check_rows,
+    )
 
     sp = sub.add_parser("expectation", help="exact expected revenue of the randomized auction")
     sp.add_argument("--n", type=_positive_int, required=True)
@@ -108,6 +123,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--bids", default=None,
                     help="H/L string for one vector; omit for the full per-count table")
     _add_output_flags(sp)
+    sp.set_defaults(domain=_expectation_domain, rows=_expectation_rows)
 
     sp = sub.add_parser("batch", help="run a JSON array of experiment configs, one aggregated report")
     sp.add_argument("config", help="path to a JSON array of config objects")
@@ -115,12 +131,15 @@ def build_parser() -> _Parser:
     sp.add_argument("--limit", type=_positive_int, default=DEFAULT_ENUMERATION_LIMIT,
                     help="default enumeration cap for entries that do not set one")
     _add_output_flags(sp)
+    # _batch_rows checks each entry's domain before any entry runs
+    sp.set_defaults(domain=lambda ns: None, rows=_batch_rows)
 
     return parser
 
 
 # ---------------------------------------------------------------------------
-# Command handlers: each returns report rows
+# Row builders: each returns plain dict rows; reports reads absent columns as
+# empty and renders keys outside CSV_COLUMNS as JSON-only fields, in order
 # ---------------------------------------------------------------------------
 
 
@@ -130,45 +149,28 @@ def _sweep_rows(ns: argparse.Namespace) -> list[dict]:
     witness = profile.witness
     opt = offline_optimal(witness)
     loss = profile.global_worst
-    revenue = opt - loss if isinstance(loss, int) else SurdSum.of(opt) - loss
-    row = reports.empty_row()
-    row.update(
-        command="sweep",
-        n=ns.n,
-        h=ns.h,
-        auction=ns.auction,
-        n_h=count_high(witness),
-        opt=opt,
-        revenue=revenue,
-        loss=loss,
-        normalized_loss=profile.normalized,
-    )
-    row["witness"] = witness.to_string()
-    row["per_nh_worst"] = {
-        str(k): (v if isinstance(v, int) else reports.surd_json(v))
-        for k, v in sorted(profile.per_nh_worst.items())
-    }
-    return [row]
+    return [{
+        "command": "sweep", "n": ns.n, "h": ns.h, "auction": ns.auction,
+        "n_h": count_high(witness), "opt": opt, "revenue": opt - loss, "loss": loss,
+        "normalized_loss": profile.normalized,
+        "witness": witness.to_string(),
+        "per_nh_worst": {
+            str(k): (v if isinstance(v, int) else reports.surd_json(v))
+            for k, v in sorted(profile.per_nh_worst.items())
+        },
+    }]
 
 
 def _demo_dop_rows(ns: argparse.Namespace) -> list[dict]:
     ratio = analysis.dop_unboundedness_demo(ns.h, ns.n)
     n = ns.n if ns.n is not None else ns.h * ns.h
     t = n // ns.h
-    row = reports.empty_row()
-    row.update(
-        command="demo-dop",
-        n=n,
-        h=ns.h,
-        auction="dop",
-        n_h=t,
-        opt=n,
-        revenue=t,
-        loss=n - t,
-        normalized_loss=analysis._normalize(n - t, n, ns.h),
-    )
-    row["ratio"] = reports.fraction_json(ratio)
-    return [row]
+    return [{
+        "command": "demo-dop", "n": n, "h": ns.h, "auction": "dop",
+        "n_h": t, "opt": n, "revenue": t, "loss": n - t,
+        "normalized_loss": analysis._normalize(n - t, n, ns.h),
+        "ratio": reports.fraction_json(ratio),
+    }]
 
 
 # Every integer in the exact fields of dist-d and mc is below h**n * h * n,
@@ -192,58 +194,36 @@ def _require_printable(n: int, h: int) -> None:
 
 def _dist_d_rows(ns: argparse.Namespace) -> list[dict]:
     e_opt, e_dop, gap = analysis.check_distribution_identities(ns.n, ns.h)
-    row = reports.empty_row()
-    row.update(
-        command="dist-d",
-        n=ns.n,
-        h=ns.h,
-        auction="threshold-dop",
-        n_h=ns.n // ns.h,
-        opt=e_opt,
-        revenue=e_dop,
-        loss=gap,
-        normalized_loss=analysis._normalize(gap, ns.n, ns.h),
-        gap_exact_num=gap.numerator,
-        gap_exact_den=gap.denominator,
-    )
-    row["exact_e_opt"] = reports.fraction_json(e_opt)
-    row["exact_e_dop"] = reports.fraction_json(e_dop)
-    return [row]
+    return [{
+        "command": "dist-d", "n": ns.n, "h": ns.h, "auction": "threshold-dop",
+        "n_h": ns.n // ns.h, "opt": e_opt, "revenue": e_dop, "loss": gap,
+        "normalized_loss": analysis._normalize(gap, ns.n, ns.h),
+        "gap_exact_num": gap.numerator, "gap_exact_den": gap.denominator,
+        "exact_e_opt": reports.fraction_json(e_opt),
+        "exact_e_dop": reports.fraction_json(e_dop),
+    }]
 
 
 def _mc_rows(ns: argparse.Namespace) -> list[dict]:
     report = analysis.monte_carlo_under_d(
         ns.n, ns.h, ns.auction, ns.samples, ns.seed, threads=ns.threads
     )
-    auction_row = reports.empty_row()
-    auction_row.update(
-        command="mc",
-        n=ns.n,
-        h=ns.h,
-        auction=ns.auction,
-        samples=ns.samples,
-        seed=ns.seed,
-        mean=report.mc_mean_auction,
-        stderr=report.mc_stderr_auction,
-    )
-    bench_row = reports.empty_row()
-    bench_row.update(
-        command="mc",
-        n=ns.n,
-        h=ns.h,
-        auction="opt",
-        samples=ns.samples,
-        seed=ns.seed,
-        mean=report.mc_mean_opt,
-        stderr=report.mc_stderr_opt,
-    )
-    if report.gap is not None:
-        for row in (auction_row, bench_row):
+    rows = []
+    for auction, mean, stderr, exact_key, exact in (
+        (ns.auction, report.mc_mean_auction, report.mc_stderr_auction,
+         "exact_e_dop", report.exact_e_dop),
+        ("opt", report.mc_mean_opt, report.mc_stderr_opt, "exact_e_opt", report.exact_e_opt),
+    ):
+        row = {
+            "command": "mc", "n": ns.n, "h": ns.h, "auction": auction,
+            "samples": ns.samples, "seed": ns.seed, "mean": mean, "stderr": stderr,
+        }
+        if report.gap is not None:
             row["gap_exact_num"] = report.gap.numerator
             row["gap_exact_den"] = report.gap.denominator
-        auction_row["exact_e_dop"] = reports.fraction_json(report.exact_e_dop)
-        bench_row["exact_e_opt"] = reports.fraction_json(report.exact_e_opt)
-    return [auction_row, bench_row]
+            row[exact_key] = reports.fraction_json(exact)
+        rows.append(row)
+    return rows
 
 
 def _block_check_rows(ns: argparse.Namespace) -> list[dict]:
@@ -256,9 +236,8 @@ def _block_check_rows(ns: argparse.Namespace) -> list[dict]:
             f"vector {b.to_string()}, {violation.bidder_class} block {violation.block_index}: "
             f"{violation.offered_high} h-offers, expected {violation.expected}",
         )
-    row = reports.empty_row()
-    row.update(command="block-check", n=ns.n, h=ns.h, auction="derand", samples=checked)
-    return [row]
+    return [{"command": "block-check", "n": ns.n, "h": ns.h, "auction": "derand",
+             "samples": checked}]
 
 
 def _expectation_rows(ns: argparse.Namespace) -> list[dict]:
@@ -272,19 +251,12 @@ def _expectation_rows(ns: argparse.Namespace) -> list[dict]:
     for k in counts:
         opt = max(ns.n, ns.h * k)
         expectation = expected_revenue_by_count(ns.n, ns.h, k)
-        loss = SurdSum.of(opt) - expectation
-        row = reports.empty_row()
-        row.update(
-            command="expectation",
-            n=ns.n,
-            h=ns.h,
-            auction="random",
-            n_h=k,
-            opt=opt,
-            revenue=expectation,
-            loss=loss,
-            normalized_loss=analysis._normalize(loss, ns.n, ns.h),
-        )
+        loss = opt - expectation
+        row = {
+            "command": "expectation", "n": ns.n, "h": ns.h, "auction": "random",
+            "n_h": k, "opt": opt, "revenue": expectation, "loss": loss,
+            "normalized_loss": analysis._normalize(loss, ns.n, ns.h),
+        }
         if ns.bids is not None:
             row["bids"] = ns.bids
         rows.append(row)
@@ -297,16 +269,23 @@ def _expectation_rows(ns: argparse.Namespace) -> list[dict]:
 
 
 def _validate_entry(
-    index: int, entry: object, fields: dict[str, list[argparse.Action]], args: argparse.Namespace
+    index: int, entry: object, subparsers: dict[str, argparse.ArgumentParser],
+    args: argparse.Namespace,
 ) -> argparse.Namespace:
-    """Check one entry against its subcommand's flags: each field is a flag,
-    and each value passes that flag's converter or choices."""
+    """Check one entry against its subcommand's flags and domain: each field is
+    a flag, and each value passes that flag's converter or choices."""
     if not isinstance(entry, dict):
         raise ValueError(f"entry {index}: must be an object")
     command = entry.get("command")
-    if command not in tuple(fields):  # not a dict lookup: a list command is unhashable
-        raise ValueError(f"entry {index}: field 'command' must be one of {', '.join(fields)}")
-    actions = fields[command]
+    if command not in tuple(subparsers):  # not a dict lookup: a list command is unhashable
+        raise ValueError(
+            f"entry {index}: field 'command' must be one of {', '.join(subparsers)}"
+        )
+    sp = subparsers[command]
+    # argparse has no public way to read a parser's arguments back, so an
+    # entry's fields are its subparser's _actions, less help and threads;
+    # the batch sets threads for every entry
+    actions = [a for a in sp._actions if a.dest not in ("help", "threads")]
     for key in entry:
         if key != "command" and key not in {a.dest for a in actions}:
             raise ValueError(f"entry {index}: unknown field {key!r} for command {command!r}")
@@ -316,6 +295,7 @@ def _validate_entry(
 
     ns = argparse.Namespace(**{a.dest: a.default for a in actions})
     ns.command, ns.threads, ns.limit = command, args.threads, args.limit
+    ns.rows = sp.get_default("rows")
     for action in actions:
         key = action.dest
         # per-entry output settings are meaningless in an aggregated report;
@@ -339,7 +319,7 @@ def _validate_entry(
             raise ValueError(f"entry {index}: field {key!r} must be a string")
         setattr(ns, key, value)
     try:
-        _DOMAINS[command](ns)
+        sp.get_default("domain")(ns)
     except ValueError as exc:
         raise ValueError(f"entry {index}: {exc}") from None
     return ns
@@ -355,19 +335,12 @@ def _batch_rows(args: argparse.Namespace) -> list[dict]:
             raise ValueError(f"{args.config}: parse failure: nested too deeply") from None
     if not isinstance(entries, list):
         raise ValueError(f"{args.config}: top level must be a JSON array")
-    # argparse has no public way to read a parser's arguments back, so an
-    # entry's fields are its subparser's _actions, less help and threads;
-    # the batch sets threads for every entry
     commands = next(a for a in build_parser()._actions if a.dest == "command").choices
-    fields = {
-        name: [a for a in sp._actions if a.dest not in ("help", "threads")]
-        for name, sp in commands.items()
-        if name != "batch"
-    }
+    subparsers = {name: sp for name, sp in commands.items() if name != "batch"}
     # Validate everything, domains included, before running anything: one
     # bad entry must fail the whole batch at once, with no partial output.
-    jobs = [_validate_entry(i, entry, fields, args) for i, entry in enumerate(entries)]
-    return [row for ns in jobs for row in _HANDLERS[ns.command](ns)]
+    jobs = [_validate_entry(i, entry, subparsers, args) for i, entry in enumerate(entries)]
+    return [row for ns in jobs for row in ns.rows(ns)]
 
 
 def _dist_d_domain(ns: argparse.Namespace) -> None:
@@ -385,34 +358,12 @@ def _expectation_domain(ns: argparse.Namespace) -> None:
         BidVector.from_string(AuctionParams(ns.n, ns.h), ns.bids)
 
 
-# Each command's input domain: raises ValueError for any input the command rejects.
-_DOMAINS = {
-    "sweep": lambda ns: analysis.check_sweep(AuctionParams(ns.n, ns.h), ns.auction, ns.limit),
-    "demo-dop": lambda ns: analysis.check_demo(ns.h, ns.h * ns.h if ns.n is None else ns.n),
-    "dist-d": _dist_d_domain,
-    "mc": _mc_domain,
-    "block-check": lambda ns: analysis.check_block_sweep(AuctionParams(ns.n, ns.h), ns.limit),
-    "expectation": _expectation_domain,
-    "batch": lambda ns: None,  # _batch_rows checks each entry's domain before any runs
-}
-
-_HANDLERS = {
-    "sweep": _sweep_rows,
-    "demo-dop": _demo_dop_rows,
-    "dist-d": _dist_d_rows,
-    "mc": _mc_rows,
-    "block-check": _block_check_rows,
-    "expectation": _expectation_rows,
-    "batch": _batch_rows,
-}
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _DOMAINS[args.command](args)
-        rows = _HANDLERS[args.command](args)
+        args.domain(args)
+        rows = args.rows(args)
         text = reports.render(rows, args.format)
     except IdentityCheckError as exc:
         print(str(exc), file=sys.stderr)

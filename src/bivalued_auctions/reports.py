@@ -64,10 +64,6 @@ def surd_json(value: SurdSum) -> dict:
     }
 
 
-def empty_row() -> dict:
-    return {column: None for column in CSV_COLUMNS}
-
-
 def _csv_cell(value: Cell) -> str:
     if value is None:
         return ""

@@ -189,14 +189,24 @@ class TestRandomAuctionRun:
 
     @given(st.integers(1, 8), st.integers(2, 6), st.data())
     @settings(max_examples=40, deadline=None)
-    def test_revenue_never_exceeds_benchmark_plus_highs(self, n, h, data):
+    def test_revenue_is_accepted_offers_and_at_most_the_bids(self, n, h, data):
         mask = data.draw(st.integers(0, (1 << n) - 1))
         seed = data.draw(st.integers(0, 2**32))
         b = BidVector(AuctionParams(n, h), mask)
         s = random_auction_run(b, seed)
-        assert 0 <= s.revenue <= max(offline_optimal(b), h * count_high(b))
         for i in range(1, n + 1):
             assert s.offers[i - 1] in (1, h)
+        assert s.revenue == sum(o for i, o in enumerate(s.offers, 1) if o <= b.bid(i))
+        # every payment is at most its bid; the benchmark max(n, h*k) is no bound
+        k = count_high(b)
+        assert 0 <= s.revenue <= h * k + (n - k)
+
+    def test_a_sampled_run_can_beat_the_benchmark(self):
+        # offering h to both highs and 1 to the low bidder earns h*k + 1
+        b = vector(3, 5, "LHH")
+        s = random_auction_run(b, seed=166)
+        assert s.offers == (1, 5, 5)
+        assert s.revenue == 11 > offline_optimal(b) == 10
 
 
 def test_run_auction_dispatch():

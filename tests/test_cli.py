@@ -237,15 +237,29 @@ class TestOutputFile:
         assert code == 1 and "error" in err
 
 
+ROW_BUILDERS = ("_sweep_rows", "_demo_dop_rows", "_dist_d_rows", "_mc_rows",
+                "_block_check_rows", "_expectation_rows")
+
+
 @pytest.fixture
 def no_handlers(monkeypatch):
-    """Every command handler but batch's raises if it is called."""
+    """Every command's row builder but batch's raises if it is called."""
     def never(ns):
         raise AssertionError(f"{ns.command} handler ran")
 
-    for name in cli._HANDLERS:
-        if name != "batch":
-            monkeypatch.setitem(cli._HANDLERS, name, never)
+    for name in ROW_BUILDERS:
+        monkeypatch.setattr(cli, name, never)
+
+
+def test_every_subcommand_declares_its_domain_and_rows():
+    commands = next(a for a in cli.build_parser()._actions if a.dest == "command").choices
+    assert set(commands) == {"sweep", "demo-dop", "dist-d", "mc", "block-check",
+                             "expectation", "batch"}
+    for name, sp in commands.items():
+        assert callable(sp.get_default("domain")), name
+        assert callable(sp.get_default("rows")), name
+    assert {commands[name].get_default("rows").__name__ for name in commands} == {
+        *ROW_BUILDERS, "_batch_rows"}
 
 
 class TestBatch:
