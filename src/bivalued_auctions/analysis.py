@@ -13,6 +13,7 @@ appears in Monte Carlo summaries, which carry standard errors.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,6 +34,7 @@ from .auctions import (  # AUCTION_NAMES stays readable as analysis.AUCTION_NAME
     run_auction,
 )
 from .core import LOW_VALUE, AuctionParams, BidVector, count_high, offline_optimal
+from .core import revenue_by_offer_counts
 from .exact import SurdSum
 from .rng import stream_generator
 
@@ -48,7 +50,7 @@ ENUMERATION_CAP = 30
 DEMO_N_LIMIT = 1 << 16
 _MC_CHUNK = 1 << 14
 # Each Monte Carlo chunk holds a (_MC_CHUNK, n) bool bid matrix: at most
-# 256 MiB at this cap.
+# 256 MiB at this cap, per worker, with at most one worker per core.
 MC_N_LIMIT = 1 << 14
 # Monte Carlo lists every chunk, and with threads submits each to a pool, before
 # any draw: 2**30 samples are 2**16 chunks, which peaked at 134 MB on 2 threads.
@@ -59,6 +61,8 @@ _NEG_INF = np.int64(-(1 << 60))
 # Index sums per block of the derandomized (k, S) sweep, which bounds its
 # arrays whatever the S range of a class.
 _SUM_BLOCK = 1 << 16
+# Masks per range of everything that walks all 2**n vectors.
+_MASK_RANGE = 1 << 16
 
 # The int64 arithmetic of the vector kernels and of the chunk reductions is
 # exact while h * n <= 2**24.  Every benchmark value, revenue and loss is at
@@ -131,15 +135,16 @@ def _require_enumerable(n: int, limit: int = ENUMERATION_CAP) -> None:
         raise ValueError(f"n={n} exceeds enumeration limit {limit}")
 
 
-def _mask_ranges(n: int, chunk_bits: int = 16) -> list[tuple[int, int]]:
+def _mask_ranges(n: int) -> list[tuple[int, int]]:
     total = 1 << n
-    step = min(total, 1 << chunk_bits)
-    return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
+    return [(lo, min(lo + _MASK_RANGE, total)) for lo in range(0, total, _MASK_RANGE)]
 
 
 def _map_chunks(fn, jobs: list, threads: Optional[int]) -> list:
-    """fn over jobs in order, on a thread pool only when there is more than one job."""
-    workers = min(threads or 1, len(jobs))
+    """fn over jobs in order, on min(threads or cores, cores, len(jobs))
+    threads: a pool only when that is more than one."""
+    cores = os.cpu_count() or 1
+    workers = min(threads or cores, cores, len(jobs))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, jobs))
@@ -260,16 +265,14 @@ def _sweep_chunk(losses_of, n: int, lo: int, hi: int):
     return per_k, worst, int(keys[j]), int(at_worst[j])
 
 
-def enumerated_sweep(
-    params: AuctionParams, auction: str, *, chunk_bits: int = 16
-) -> LossProfile:
+def enumerated_sweep(params: AuctionParams, auction: str) -> LossProfile:
     """worst_case_sweep by enumerating all 2**n bid vectors.
 
     Deterministic auctions take each vector's revenue from the mask kernels;
     the randomized auction's exact per-count losses are replaced by their
     ranks, so the same int64 reduction finds its maximum and lex-least
     witness.  Mask ranges are reduced in a fixed order, so the result does
-    not depend on chunk_bits.  Kept as the tests' reference for n <= 20.
+    not depend on _MASK_RANGE.  Kept as the tests' reference for n <= 20.
     """
     n, h = params.n, params.h
     _check_sweep_args(params, auction)
@@ -296,7 +299,7 @@ def enumerated_sweep(
 
     per_k_all = np.full(n + 1, _NEG_INF, dtype=np.int64)
     worst = best_key = best_mask = None
-    for lo, hi in _mask_ranges(n, chunk_bits):
+    for lo, hi in _mask_ranges(n):
         per_k, chunk_worst, chunk_key, chunk_mask = _sweep_chunk(losses_of, n, lo, hi)
         per_k_all = np.maximum(per_k_all, per_k)
         if worst is None or chunk_worst > worst or (chunk_worst == worst and chunk_key < best_key):
@@ -597,8 +600,7 @@ def _random_revenues(rng, high, k, h: int, blocks) -> np.ndarray:
         high_offered = ((coins < thresholds[high_m, None]) & bits).sum(axis=1)
         low_offered = np.where(always[low_m], n - low_m, low_offered)
         high_offered = np.where(always[high_m], low_m, high_offered)
-        # low bidders offered h pay 0 instead of 1, high bidders h instead of 1
-        revenue[lo:hi] = n - low_offered + (h - 1) * high_offered
+        revenue[lo:hi] = revenue_by_offer_counts(n, h, low_offered, high_offered)
     return revenue
 
 
@@ -634,9 +636,10 @@ def monte_carlo_under_d(
     """Sample the hard distribution and estimate mean revenues.
 
     Chunked into fixed-size blocks with one keyed Philox stream each, so the
-    estimates are reproducible and independent of worker count.  Every
-    bid-independent auction with offers in {1, h} earns exactly 1 per bidder
-    in expectation here, so the auction mean must sit near n.
+    estimates are reproducible and independent of worker count; the chunks
+    run on min(threads or cores, cores, chunks) threads (_map_chunks).
+    Every bid-independent auction with offers in {1, h} earns exactly 1 per
+    bidder in expectation here, so the auction mean must sit near n.
     """
     check_monte_carlo(n, h, auction, samples)
 

@@ -168,6 +168,16 @@ def settle(b: BidVector, offers: Sequence[int]) -> OfferSchedule:
     return OfferSchedule(tuple(offers), tuple(payments), sum(payments))
 
 
+def revenue_by_offer_counts(n: int, h: int, low_offered_h, high_offered_h):
+    """Revenue of n bidders when low_offered_h low bidders and high_offered_h
+    high bidders are offered h, and every other bidder 1 (ints or arrays).
+
+    Every bidder pays 1, except that a low bidder offered h pays 0 and a high
+    bidder offered h pays h.
+    """
+    return n - low_offered_h + (h - 1) * high_offered_h
+
+
 def all_vectors(params: AuctionParams) -> Iterable[BidVector]:
     """Every bid vector for params, in mask order."""
     for mask in range(1 << params.n):

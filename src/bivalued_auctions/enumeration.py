@@ -24,7 +24,7 @@ from typing import Iterator
 import numpy as np
 
 from .auctions import derand_modulus, require_divisible
-from .core import LOW_VALUE
+from .core import revenue_by_offer_counts
 
 
 def mask_array(lo: int, hi: int) -> np.ndarray:
@@ -74,12 +74,10 @@ def count_threshold(auction: str, n: int, h: int) -> int:
 
 
 def count_revenues(k: np.ndarray, n: int, h: int, t: int) -> np.ndarray:
-    """Revenue of the count-threshold rule on vectors with k high bids.
-
-    A low bidder sees k high bids and pays 1 unless offered h; a high bidder
-    sees k - 1 and pays h if offered h, else 1.
-    """
-    return (n - k) * (k < t) + k * np.where(k > t, h, LOW_VALUE)
+    """Revenue of the count-threshold rule on vectors with k high bids: a
+    low bidder sees k high bids and a high bidder k - 1, and each is offered
+    h iff it sees at least t."""
+    return revenue_by_offer_counts(n, h, (n - k) * (k >= t), k * (k > t))
 
 
 def _derand_moduli(n: int, h: int) -> np.ndarray:
@@ -125,8 +123,7 @@ def derand_revenues(k, index_sum, n: int, h: int) -> np.ndarray:
     +-1: the low bidder of rank r = 1..n-k sees z = (S + r) mod B(k), and
     the high bidder with y = 0..k-1 high bidders before it sees
     z = (S - y) mod B(k-1).  So each class's offers of h are one window
-    count against a+ = clamp(h * n_h(i) - n, 0, B).  Low bidders offered h
-    pay 0 instead of 1, high bidders h instead of 1.
+    count against a+ = clamp(h * n_h(i) - n, 0, B).
     """
     moduli = _derand_moduli(n, h)
     a_plus = np.clip(h * np.arange(n + 1, dtype=np.int64) - n, 0, moduli)
@@ -134,7 +131,7 @@ def derand_revenues(k, index_sum, n: int, h: int) -> np.ndarray:
     m = np.maximum(k - 1, 0)  # at k = 0 the high window is empty
     low = _window_offers(index_sum + 1, n - k, moduli[k], a_plus[k])
     high = _window_offers(index_sum - k + 1, k, moduli[m], a_plus[m])
-    return n - low + (h - 1) * high
+    return revenue_by_offer_counts(n, h, low, high)
 
 
 def _count_kernel(auction: str):

@@ -256,15 +256,15 @@ class SurdSum:
         return f"SurdSum({' + '.join(parts)})"
 
 
-def bernoulli_threshold(p: ExactLike, bits: int = 64) -> int:
-    """Number of draws u in [0, 2**bits) with u / 2**bits < p.
+def bernoulli_threshold(p: ExactLike) -> int:
+    """Number of draws u in [0, 2**64) with u / 2**64 < p.
 
-    Comparing a uniform `bits`-wide integer against this threshold samples a
-    Bernoulli with success probability within 2**-bits of p (exactly p when
-    2**bits * p is an integer), using only integer arithmetic.  p must be
+    Comparing a uniform 64-bit integer against this threshold samples a
+    Bernoulli with success probability within 2**-64 of p (exactly p when
+    2**64 * p is an integer), using only integer arithmetic.  p must be
     rational or a one-term surd (num/den) * sqrt(r), the form every offer
-    probability takes; the threshold is then ceil(p * 2**bits), clamped to
-    [0, 2**bits], from one integer square root.
+    probability takes; the threshold is then ceil(p * 2**64), clamped to
+    [0, 2**64], from one integer square root.
     """
     p = SurdSum.of(p)
     if len(p.terms) > 1:
@@ -272,6 +272,6 @@ def bernoulli_threshold(p: ExactLike, bits: int = 64) -> int:
     if p.is_zero or p.terms[0][1] < 0:
         return 0
     ((r, q),) = p.terms
-    # smallest t with t * den >= num * 2**bits * sqrt(r)
-    t = -(-ceil_scaled_sqrt(q.numerator << bits, r) // q.denominator)
-    return min(t, 1 << bits)
+    # smallest t with t * den >= num * 2**64 * sqrt(r)
+    t = -(-ceil_scaled_sqrt(q.numerator << 64, r) // q.denominator)
+    return min(t, 1 << 64)

@@ -37,31 +37,11 @@ CSV_COLUMNS = (
 
 DECIMAL_DIGITS = 9
 
-Cell = Union[None, int, float, str, Fraction, SurdSum]
+Cell = Union[None, int, float, str, Fraction, SurdSum, dict]
 
 
-def decimal_string(value: Union[int, Fraction, SurdSum], digits: int = DECIMAL_DIGITS) -> str:
-    return SurdSum.of(value).to_decimal(digits)
-
-
-def fraction_json(value: Union[int, Fraction]) -> dict:
-    q = Fraction(value)
-    return {
-        "num": str(q.numerator),
-        "den": str(q.denominator),
-        "decimal": decimal_string(q),
-    }
-
-
-def surd_json(value: SurdSum) -> dict:
-    """Exact sum of rational multiples of square roots, plus a decimal."""
-    return {
-        "terms": [
-            {"radicand": r, "num": str(c.numerator), "den": str(c.denominator)}
-            for r, c in value.terms
-        ],
-        "decimal": value.to_decimal(DECIMAL_DIGITS),
-    }
+def decimal_string(value: Union[int, Fraction, SurdSum]) -> str:
+    return SurdSum.of(value).to_decimal(DECIMAL_DIGITS)
 
 
 def _csv_cell(value: Cell) -> str:
@@ -87,11 +67,22 @@ def _json_cell(value: Cell) -> object:
         # Big integers (gap numerators) as strings so JSON readers keep them exact.
         return value if abs(value) < 1 << 53 else str(value)
     if isinstance(value, Fraction):
-        return fraction_json(value)
+        return {
+            "num": str(value.numerator),
+            "den": str(value.denominator),
+            "decimal": decimal_string(value),
+        }
     if isinstance(value, SurdSum):
-        return surd_json(value)
+        # exact sum of rational multiples of square roots, plus a decimal
+        return {
+            "terms": [
+                {"radicand": r, "num": str(c.numerator), "den": str(c.denominator)}
+                for r, c in value.terms
+            ],
+            "decimal": decimal_string(value),
+        }
     if isinstance(value, dict):
-        return value
+        return {key: _json_cell(item) for key, item in value.items()}
     raise TypeError(f"cannot render {type(value).__name__} in JSON")
 
 

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import oracles
@@ -91,11 +93,13 @@ class TestWorstCaseSweep:
         ]
         assert profile.witness.bids == min(candidates)
 
-    def test_chunking_and_threads_change_nothing(self):
+    def test_chunking_and_threads_change_nothing(self, monkeypatch):
         p = AuctionParams(10, 3)
         base = worst_case_sweep(p, "derand")
-        chunk4 = analysis.enumerated_sweep(p, "derand", chunk_bits=4)
-        chunk5 = analysis.enumerated_sweep(p, "derand", chunk_bits=5)
+        monkeypatch.setattr(analysis, "_MASK_RANGE", 1 << 4)
+        chunk4 = analysis.enumerated_sweep(p, "derand")
+        monkeypatch.setattr(analysis, "_MASK_RANGE", 1 << 5)
+        chunk5 = analysis.enumerated_sweep(p, "derand")
         threaded = worst_case_sweep(p, "derand", threads=3)
         assert chunk4 == chunk5 == threaded == base
 
@@ -282,6 +286,76 @@ class TestBlockSweep:
         for call in calls:
             with pytest.raises(ValueError, match="enumeration cap"):
                 call()
+
+
+class TestMultipleMaskRanges:
+    """The enumerating sweeps with 2**3-mask ranges, so that n <= 10 spans
+    up to 128 ranges, against the same sweeps over one range."""
+
+    @pytest.mark.parametrize("n,h", [(4, 2), (7, 3), (9, 3), (10, 2), (10, 5)])
+    def test_clean_sweeps(self, monkeypatch, n, h):
+        monkeypatch.setattr(analysis, "_MASK_RANGE", 1 << 3)
+        p = AuctionParams(n, h)
+        assert block_structure_sweep(p) == (1 << n, None)
+        for auction in analysis.AUCTION_NAMES:
+            if auction != "threshold-dop" or n % h == 0:
+                assert bid_independence_violations(p, auction) == [], auction
+
+    @pytest.mark.parametrize("target", [200, 517])
+    def test_flipped_offer_gives_the_same_first_block_failure(self, monkeypatch, target):
+        # bidder 1's offer on the vector with mask `target` is flipped
+        offers_for_bidder = analysis.enumeration.offers_for_bidder
+
+        def flipped(masks, n, h, auction):
+            offered_h = offers_for_bidder(masks, n, h, auction)
+            offered_h[0, masks == target] ^= True
+            return offered_h
+
+        monkeypatch.setattr(analysis.enumeration, "offers_for_bidder", flipped)
+        p = AuctionParams(10, 3)
+        one = block_structure_sweep(p)
+        monkeypatch.setattr(analysis, "_MASK_RANGE", 1 << 3)
+        assert block_structure_sweep(p) == one
+        assert one[0] == target + 1 and one[1][0].mask == target
+
+
+class TestPoolWidth:
+    def widths(self, monkeypatch, threads) -> list[int]:
+        """max_workers of every pool one Monte Carlo run over cores + 2 chunks
+        starts, with a serial pool and free chunks, so no thread starts."""
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        def free_chunk(rng, n, h, auction, rows):
+            revenue = np.full(rows, n, dtype=np.int64)
+            return revenue, revenue
+
+        monkeypatch.setattr(analysis, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(analysis, "_sample_revenues", free_chunk)
+        samples = ((os.cpu_count() or 1) + 2) * analysis._MC_CHUNK
+        # h = 2 does not divide n = 7, so the exact identities are skipped
+        report = monte_carlo_under_d(7, 2, "dop", samples, seed=1, threads=threads)
+        assert report.mc_mean_auction == 7 and report.exact_e_opt is None
+        return started
+
+    def test_width_is_the_cores_at_most(self, monkeypatch):
+        cores = os.cpu_count() or 1
+        want = [cores] if cores > 1 else []  # a one-core runner starts no pool
+        assert self.widths(monkeypatch, 10**6) == want
+        assert self.widths(monkeypatch, None) == want
+        assert self.widths(monkeypatch, 1) == []
 
 
 class TestMonteCarlo:

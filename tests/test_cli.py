@@ -199,6 +199,26 @@ class TestExitCodes:
                 f"{analysis.MC_SAMPLES_LIMIT}\n"
             )
 
+    def test_expectation_table_limit_is_one(self, capsys, monkeypatch):
+        n = cli.EXPECTATION_N_LIMIT + 1
+
+        def never(ns):
+            raise AssertionError("expectation rows built")
+
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_expectation_rows", never)
+            code, out, err = run_cli(capsys, "expectation", "--n", str(n), "--h", "2")
+        assert code == 1 and out == ""
+        assert err == (
+            f"error: n={n} exceeds the expectation table limit {cli.EXPECTATION_N_LIMIT}; "
+            "pass --bids for one vector\n"
+        )
+        # the limit bounds the table only: one vector of n bids is one row
+        code, out, err = run_cli(
+            capsys, "expectation", "--n", str(n), "--h", "2", "--bids", "H" * n
+        )
+        assert code == 0 and err == "" and len(out.splitlines()) == 2
+
     def test_perturbed_identity_is_two(self, capsys, monkeypatch):
         monkeypatch.setattr(analysis, "exact_e_dop_under_d", lambda n, h: Fraction(1))
         code, out, err = run_cli(capsys, "dist-d", "--n", "4", "--h", "2")
@@ -437,9 +457,11 @@ class TestBatch:
          "expected 4 characters, got 3"),
         ({**MC, "samples": 10**18},
          "samples=1000000000000000000 exceeds the Monte Carlo limit 1073741824"),
+        ({"command": "expectation", "n": 10**9, "h": 2},
+         "n=1000000000 exceeds the expectation table limit 65536; pass --bids for one vector"),
     ], ids=["enumeration-cap", "limit", "int64", "mc-n", "printable-dist-d", "printable-mc",
             "demo-limit", "divisible-dist-d", "divisible-demo-dop", "divisible-sweep",
-            "divisible-mc", "bids-character", "bids-length", "samples"])
+            "divisible-mc", "bids-character", "bids-length", "samples", "expectation-table"])
     def test_domain_checked_before_any_entry_runs(
         self, capsys, tmp_path, no_handlers, bad, message
     ):

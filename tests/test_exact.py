@@ -158,10 +158,10 @@ class TestSurdSum:
         assert eq is False  # sqrt(2)/2 is irrational
 
 
-def search_threshold(p, bits: int = 64) -> int:
-    """Binary search for the least t with t / 2**bits >= p, clamped to [0, 2**bits]."""
+def search_threshold(p) -> int:
+    """Binary search for the least t with t / 2**64 >= p, clamped to [0, 2**64]."""
     p = SurdSum.of(p)
-    span = 1 << bits
+    span = 1 << 64
     if p.sign() <= 0:
         return 0
     if p >= 1:
@@ -209,11 +209,10 @@ class TestBernoulliThreshold:
     @given(
         st.fractions(min_value=-1, max_value=2, max_denominator=10**6),
         st.integers(1, 10**6),
-        st.integers(1, 64),
     )
-    def test_one_term_surds_match_search(self, coeff, radicand, bits):
+    def test_one_term_surds_match_search(self, coeff, radicand):
         p = SurdSum.multiple(coeff, radicand)
-        assert bernoulli_threshold(p, bits) == search_threshold(p, bits)
+        assert bernoulli_threshold(p) == search_threshold(p)
 
     def test_rejects_two_term_surds(self):
         with pytest.raises(ValueError):

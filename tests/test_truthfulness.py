@@ -14,6 +14,7 @@ from bivalued_auctions import (
     AUCTION_NAMES,
     AuctionParams,
     BidVector,
+    analysis,
     bid_independence_violations,
     enumeration,
     offer_rule,
@@ -73,17 +74,27 @@ def _smallest_witnesses(n: int, differs) -> list[tuple[int, int]]:
     return found
 
 
+def _neighbour_offers(masks, n, h, auction):
+    """Bidder i is offered h iff it and its right neighbour (cyclically) bid high."""
+    bits = [(masks >> j) & 1 for j in range(n)]
+    return np.stack([(bits[j] & bits[(j + 1) % n]).astype(bool) for j in range(n)])
+
+
+_popcount = enumeration.popcount
+
+
+def _pair_count(masks):
+    """A "count" that also counts adjacent high pairs, so it moves with bidder
+    i's bid beyond its own bit whenever a neighbour bids high."""
+    return _popcount(masks) + _popcount(masks & (masks >> 1))
+
+
 @pytest.mark.parametrize("n", [3, 6, 9])
 def test_own_bid_dependence_is_reported_for_deterministic_offers(monkeypatch, n):
-    # bidder i is offered h iff it and its right neighbour (cyclically) bid high
-    def offers(masks, n, h, auction):
-        bits = [(masks >> j) & 1 for j in range(n)]
-        return np.stack([(bits[j] & bits[(j + 1) % n]).astype(bool) for j in range(n)])
-
     def rule(mask, i):
         return (mask >> (i - 1)) & (mask >> (i % n)) & 1
 
-    monkeypatch.setattr(enumeration, "offers_for_bidder", offers)
+    monkeypatch.setattr(enumeration, "offers_for_bidder", _neighbour_offers)
     want = _smallest_witnesses(n, lambda m, f, i: rule(m, i) != rule(f, i))
     assert want == [(i, 1 << i) for i in range(1, n)] + [(n, 1)]
     got = bid_independence_violations(AuctionParams(n, 2), "derand")
@@ -92,18 +103,27 @@ def test_own_bid_dependence_is_reported_for_deterministic_offers(monkeypatch, n)
 
 @pytest.mark.parametrize("n", [3, 6, 9])
 def test_own_bid_dependence_is_reported_for_the_count_statistic(monkeypatch, n):
-    # a "count" that also counts adjacent high pairs moves with bidder i's
-    # bid beyond its own bit whenever a neighbour bids high
-    popcount = enumeration.popcount
-
-    def count(masks):
-        return popcount(masks) + popcount(masks & (masks >> 1))
-
     def statistic(mask, i):
-        return int(count(np.array([mask]))[0]) - ((mask >> (i - 1)) & 1)
+        return int(_pair_count(np.array([mask]))[0]) - ((mask >> (i - 1)) & 1)
 
-    monkeypatch.setattr(enumeration, "popcount", count)
+    monkeypatch.setattr(enumeration, "popcount", _pair_count)
     want = _smallest_witnesses(n, lambda m, f, i: statistic(m, i) != statistic(f, i))
     assert want == [(1, 2)] + [(i, 1 << (i - 2)) for i in range(2, n + 1)]
     got = bid_independence_violations(AuctionParams(n, 2), "random")
     assert [(i, b.mask) for i, b in got] == want
+
+
+@pytest.mark.parametrize("n", [4, 7, 10])
+def test_witnesses_do_not_depend_on_mask_ranges(monkeypatch, n):
+    # 2**3-mask ranges split every n > 3 into several ranges
+    p = AuctionParams(n, 2)
+    with monkeypatch.context() as m:
+        m.setattr(enumeration, "offers_for_bidder", _neighbour_offers)
+        offers = bid_independence_violations(p, "derand")
+        m.setattr(analysis, "_MASK_RANGE", 1 << 3)
+        assert bid_independence_violations(p, "derand") == offers != []
+    with monkeypatch.context() as m:
+        m.setattr(enumeration, "popcount", _pair_count)
+        counts = bid_independence_violations(p, "random")
+        m.setattr(analysis, "_MASK_RANGE", 1 << 3)
+        assert bid_independence_violations(p, "random") == counts != []
