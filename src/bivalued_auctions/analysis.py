@@ -66,9 +66,9 @@ _MASK_RANGE = 1 << 16
 
 # The int64 arithmetic of the vector kernels and of the chunk reductions is
 # exact while h * n <= 2**24.  Every benchmark value, revenue and loss is at
-# most h*n; the modular hash i + X + (b-1)*Y is at most n**2 + h*n**1.5 <
-# 2**47; and the largest sum, a Monte Carlo chunk's squared revenues, is at
-# most _MC_CHUNK * (h*n)**2 <= 2**62.
+# most h*n; the derandomized offer table compares hashes below n**2 with
+# h*m - n < h*n; and the largest sum, a Monte Carlo chunk's squared revenues,
+# is at most _MC_CHUNK * (h*n)**2 <= 2**62.
 KERNEL_HN_LIMIT = 1 << 24
 
 
@@ -435,41 +435,57 @@ def bid_independence_violations(
 
     Empty for a truthful auction.  Deterministic auctions compare realized
     offers across every single-bid flip; the randomized auction compares the
-    statistic its offer distribution is a function of.
+    statistic its offer distribution is a function of.  The witness is the
+    smallest mask whose flip changes bidder i's offer.
+
+    The mask ranges stream: a bidder whose bit is below the range size is
+    compared inside each range, and one whose bit is above it keeps its row
+    from a range with the bit clear until the partner range lo | bit arrives.
+    So at most about 2**n values wait at once (offer bools, or the randomized
+    auction's int64 counts), beside one range's (n, rows) kernel output,
+    where the whole sweep held n * 2**n before.
     """
     n, h = params.n, params.h
     require_auction(auction)
     _require_enumerable(n, limit)
-    ranges = _mask_ranges(n)
     if auction == "random":
         # bidder i's statistic is k less its own bit, so k serves every bidder
-        k = np.concatenate(
-            [enumeration.popcount(enumeration.mask_array(lo, hi)) for lo, hi in ranges]
-        )
-        fields = (k for _ in range(n))
+        def fields(masks):
+            return [enumeration.popcount(masks)] * n
+
     else:
         _require_kernel_domain(n, h)
-        # one kernel call per mask range, as the sweep makes, so that no
-        # single array grows to n * 2**n entries
-        chunks = [
-            enumeration.offers_for_bidder(enumeration.mask_array(lo, hi), n, h, auction)
-            for lo, hi in ranges
-        ]
-        fields = (np.concatenate([chunk[i] for chunk in chunks]) for i in range(n))
-    violations = []
-    for i, field in enumerate(fields, start=1):
-        # mask a * 2**i + b * 2**(i-1) + c sits at [a, b, c]; b is bidder i's bit
-        pairs = field.reshape(-1, 2, 1 << (i - 1))
-        bids_low, bids_high = pairs[:, 0], pairs[:, 1]
-        if auction == "random":
-            bids_high = bids_high - 1  # k counts bidder i's own high bid
-        # a hit's mask has bit i-1 clear, so the first hit is the smallest
-        # mask whose flip changes the offer
-        hits = np.flatnonzero(bids_low != bids_high)
-        if len(hits):
-            a, c = divmod(int(hits[0]), 1 << (i - 1))
-            violations.append((i, BidVector(params, (a << i) | c)))
-    return violations
+
+        def fields(masks):
+            return enumeration.offers_for_bidder(masks, n, h, auction)
+
+    first: dict[int, int] = {}
+    waiting: dict[tuple[int, int], np.ndarray] = {}
+    for lo, hi in _mask_ranges(n):
+        for i, field in enumerate(fields(enumeration.mask_array(lo, hi)), start=1):
+            if i in first:
+                continue
+            bit = 1 << (i - 1)
+            if bit < hi - lo:
+                # mask lo + a * 2**i + b * 2**(i-1) + c sits at [a, b, c]
+                pairs = field.reshape(-1, 2, bit)
+                bids_low, bids_high, base = pairs[:, 0], pairs[:, 1], lo
+            elif lo & bit == 0:
+                waiting[i, lo] = field.copy()  # a copy frees the range's matrix
+                continue
+            else:
+                base = lo - bit
+                bids_low, bids_high = waiting.pop((i, base)), field
+            if auction == "random":
+                bids_high = bids_high - 1  # k counts bidder i's own high bid
+            # ranges and pairs arrive in increasing order of base, and a
+            # hit's mask has bit i-1 clear, so the first hit is the smallest
+            # mask whose flip changes the offer
+            hits = np.flatnonzero(bids_low != bids_high)
+            if len(hits):
+                a, c = divmod(int(hits[0]), bit)
+                first[i] = base + ((a << i) | c)
+    return [(i, BidVector(params, first[i])) for i in sorted(first)]
 
 
 # ---------------------------------------------------------------------------

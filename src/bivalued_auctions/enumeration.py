@@ -10,21 +10,25 @@ the scalar rules.
   (`count_threshold`), so their revenue is a function of the high count k
   alone (`count_revenues`).
 - The derandomized rule depends on the bids themselves: `derand_offers`
-  walks a bidder-major (n, rows) boolean high matrix once.  Its revenue,
-  though, depends only on k and on S, the sum of the high bidders' indices
-  (`derand_revenues`).
+  walks a bidder-major (n, rows) boolean high matrix once, and each bidder's
+  offers are one gather from a per-call boolean table indexed by high count
+  and hash value.  Its revenue, though, depends only on k and on S, the sum
+  of the high bidders' indices (`derand_revenues`).
 
 A mask encodes one bid vector (bit i-1 set <=> bidder i bids high).
 """
 
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
 
 from .auctions import derand_modulus, require_divisible
 from .core import revenue_by_offer_counts
+
+# derand_offers gathers from an (n + 1, W) bool table, W = n(n+1)/2 + n + 1,
+# through int32 indices below (n + 1) * W, about n**3 / 2: 8.5 MB of table and
+# indices below 2**24 at this cap.  The enumerating callers stop at n = 30.
+DERAND_OFFERS_N_LIMIT = 1 << 8
 
 
 def mask_array(lo: int, hi: int) -> np.ndarray:
@@ -85,25 +89,36 @@ def _derand_moduli(n: int, h: int) -> np.ndarray:
     return np.array([derand_modulus(h, m) for m in range(n + 1)], dtype=np.int64)
 
 
-def derand_offers(high: np.ndarray, h: int) -> Iterator[np.ndarray]:
-    """Per bidder i = 1..n, whether the modular rule offers h, over the
-    columns of the bidder-major (n, rows) boolean matrix `high`.
+def derand_offers(high: np.ndarray, h: int) -> np.ndarray:
+    """Whether the modular rule offers h, as an (n, rows) boolean matrix
+    whose row i-1 belongs to bidder i, over the columns of the bidder-major
+    (n, rows) boolean matrix `high`.
 
-    One walk over the bidders keeps Y, the number of high bidders before i,
-    so each column costs O(rows).
+    Bidder i sees m = k - bit high bids and hashes v = i + X - Y, where X is
+    the index sum of the other high bidders and Y the number of high bidders
+    before i: (B - 1) * Y = -Y (mod B), so z = v mod B(m).  Since
+    1 <= v < W = n(n+1)/2 + n + 1, the offers of every (m, v) form one
+    (n + 1, W) table, and each bidder costs one int32 gather from it.
     """
     n = len(high)
-    k = high.sum(axis=0, dtype=np.int64)
-    index_sum = high_index_sum(high)
-    moduli = _derand_moduli(n, h)
-    seen_high = np.zeros_like(k)
-    for i, bit in enumerate(high, start=1):
-        nh_i = k - bit
-        b_val = moduli[nh_i]
-        x = index_sum - i * bit
-        z = (i + x + (b_val - 1) * seen_high) % b_val
-        yield z < h * nh_i - n
-        seen_high += bit
+    if n > DERAND_OFFERS_N_LIMIT:
+        raise ValueError(f"n={n} exceeds the derand offer table limit {DERAND_OFFERS_N_LIMIT}")
+    width = n * (n + 1) // 2 + n + 1
+    table = np.arange(width) % _derand_moduli(n, h)[:, None] < h * np.arange(n + 1)[:, None] - n
+    flat = table.ravel()
+    bits = high.view(np.int8)
+    # bidder i reads flat[i + start - bit * (W + i)], where
+    # start = k * W + S - Y = sum of bit * (W + j) over all j, less Y
+    index = np.empty(high.shape[1], dtype=np.int32)
+    start = np.zeros_like(index)
+    for i, bit in enumerate(bits, start=1):
+        start += np.multiply(bit, np.int32(width + i), out=index, dtype=np.int32)
+    offered_h = np.empty(high.shape, dtype=bool)
+    for i, (bit, row) in enumerate(zip(bits, offered_h), start=1):
+        np.multiply(bit, np.int32(-width - i), out=index, dtype=np.int32)
+        np.take(flat[i:], np.add(start, index, out=index), out=row)
+        start -= bit
+    return offered_h
 
 
 def _window_offers(start, length, b_val, a_plus):
@@ -154,9 +169,7 @@ def offers_for_bidder(masks: np.ndarray, n: int, h: int, auction: str) -> np.nda
     """Whether each bidder is offered h on every mask: an (n, len(masks))
     boolean matrix whose row i-1 belongs to bidder i."""
     if auction == "derand":
-        columns = derand_offers(high_matrix(masks, n), h)
-    else:
-        t = count_threshold(auction, n, h)
-        k = popcount(masks)
-        columns = (k - ((masks >> i) & 1) >= t for i in range(n))
-    return np.stack(list(columns))
+        return derand_offers(high_matrix(masks, n), h)
+    t = count_threshold(auction, n, h)
+    k = popcount(masks)
+    return np.stack([k - ((masks >> i) & 1) >= t for i in range(n)])

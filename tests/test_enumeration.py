@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import functools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from bivalued_auctions import LOW_VALUE, AuctionParams, BidVector, offer_rule, run_auction
 from bivalued_auctions.analysis import KERNEL_HN_LIMIT, _sample_revenues
 from bivalued_auctions.enumeration import (
+    DERAND_OFFERS_N_LIMIT,
     REVENUE_KERNELS,
     count_revenues,
     count_threshold,
@@ -22,6 +26,8 @@ from bivalued_auctions.enumeration import (
     popcount,
 )
 from bivalued_auctions.rng import stream_generator
+
+import oracles
 
 DETERMINISTIC = ["dop", "threshold-dop", "derand"]
 
@@ -167,3 +173,60 @@ def test_derand_closed_form_matches_walk_and_scalar(case):
     for row, vector in enumerate(bids):
         b = BidVector.from_bids(p, [h if bid else LOW_VALUE for bid in vector])
         assert closed[row] == walked[row] == run_auction(b, "derand").revenue
+
+
+@functools.cache
+def _ceil_mult_sqrt(mult: int, m: int) -> int:
+    """oracles.ceil_mult_sqrt's count up, started just below the float
+    estimate (off by far less than 2 while mult * sqrt(m) < 2**40), so that
+    h up to KERNEL_HN_LIMIT // n costs a few steps."""
+    t = max(0, int(mult * math.sqrt(m)) - 2)
+    while t * t < mult * mult * m:
+        t += 1
+    return t
+
+
+def test_warm_ceil_matches_the_oracle_count():
+    for mult in range(0, 60):
+        for m in range(0, 70):
+            assert _ceil_mult_sqrt(mult, m) == oracles.ceil_mult_sqrt(mult, m)
+
+
+def _oracle_derand_offers(high: np.ndarray, h: int, monkeypatch) -> np.ndarray:
+    """tests/oracles.derand_offers on every column of the bidder-major high."""
+    monkeypatch.setattr(oracles, "ceil_mult_sqrt", _ceil_mult_sqrt)
+    columns = [
+        oracles.derand_offers([h if bid else LOW_VALUE for bid in column], h)
+        for column in high.T.tolist()
+    ]
+    return np.array(columns, dtype=np.int64).T == h
+
+
+@pytest.mark.parametrize("h", [2, 3, 5, 8, None])
+def test_derand_table_gather_matches_oracle_on_every_mask(monkeypatch, h):
+    # None stands for the largest h of the kernel domain, KERNEL_HN_LIMIT // n
+    for n in range(1, 13):
+        top = h or KERNEL_HN_LIMIT // n
+        masks = mask_array(0, 1 << n)
+        want = _oracle_derand_offers(high_matrix(masks, n), top, monkeypatch)
+        assert np.array_equal(offers_for_bidder(masks, n, top, "derand"), want), (n, top)
+
+
+@pytest.mark.parametrize("n", [30, 64])
+@pytest.mark.parametrize("h", [2, 3, 5, 8, None])
+def test_derand_table_gather_on_all_low_and_all_high(monkeypatch, n, h):
+    # all-low bidders read row m = 0 at v <= n; all-high ones read row
+    # m = n - 1 up to v = n(n+1)/2, the largest hash any vector reaches
+    h = h or KERNEL_HN_LIMIT // n
+    high = np.zeros((n, 2), dtype=bool)
+    high[:, 1] = True
+    want = _oracle_derand_offers(high, h, monkeypatch)
+    assert np.array_equal(derand_offers(high, h), want)
+
+
+def test_derand_table_is_bounded():
+    assert len(derand_offers(np.ones((DERAND_OFFERS_N_LIMIT, 1), dtype=bool), 2)) == (
+        DERAND_OFFERS_N_LIMIT
+    )
+    with pytest.raises(ValueError, match="derand offer table limit"):
+        derand_offers(np.ones((DERAND_OFFERS_N_LIMIT + 1, 1), dtype=bool), 2)
