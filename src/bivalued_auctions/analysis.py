@@ -217,7 +217,8 @@ def worst_case_sweep(
             # the top period of the S range holds the maximum and the
             # largest S attaining it
             top = k * (2 * n - k + 1) // 2
-            period = lcm(derand_modulus(h, k), derand_modulus(h, max(k - 1, 0)))
+            moduli = enumeration.derand_classes(n, h)[0]
+            period = lcm(int(moduli[k]), int(moduli[max(k - 1, 0)]))
             lowest = max(k * (k + 1) // 2, top + 1 - period)
             for start in range(lowest, top + 1, _SUM_BLOCK):
                 sums = np.arange(start, min(start + _SUM_BLOCK, top + 1), dtype=np.int64)
@@ -229,10 +230,7 @@ def worst_case_sweep(
         else:
             t = enumeration.count_threshold(auction, n, h)
             per_nh[k] = opt - int(enumeration.count_revenues(k, n, h, t))
-    worst_k = 0
-    for k in range(1, n + 1):
-        if per_nh[k] > per_nh[worst_k]:
-            worst_k = k  # strict: ties keep the smaller count
+    worst_k = max(per_nh, key=per_nh.__getitem__)  # ties keep the smaller count
     global_worst = per_nh[worst_k]
     if auction == "derand":
         witness = min(
@@ -433,36 +431,30 @@ def bid_independence_violations(
 ) -> list[tuple[int, BidVector]]:
     """Bidders whose own bid can change what they are offered, with a witness.
 
-    Empty for a truthful auction.  Deterministic auctions compare realized
-    offers across every single-bid flip; the randomized auction compares the
-    statistic its offer distribution is a function of.  The witness is the
-    smallest mask whose flip changes bidder i's offer.
+    Empty for a truthful auction.  Each bidder's row of
+    `enumeration.offers_for_bidder` is compared across every single-bid
+    flip: realized offers for the deterministic auctions, and for the
+    randomized auction n_h(i), the statistic its offer distribution is a
+    function of.  The witness is the smallest mask whose flip changes
+    bidder i's offer.
 
     The mask ranges stream: a bidder whose bit is below the range size is
     compared inside each range, and one whose bit is above it keeps its row
     from a range with the bit clear until the partner range lo | bit arrives.
-    So at most about 2**n values wait at once (offer bools, or the randomized
-    auction's int64 counts), beside one range's (n, rows) kernel output,
+    So at most about 2**n bytes wait at once (offer bools, or the randomized
+    auction's int8 counts), beside one range's (n, rows) kernel output,
     where the whole sweep held n * 2**n before.
     """
     n, h = params.n, params.h
     require_auction(auction)
     _require_enumerable(n, limit)
-    if auction == "random":
-        # bidder i's statistic is k less its own bit, so k serves every bidder
-        def fields(masks):
-            return [enumeration.popcount(masks)] * n
-
-    else:
+    if auction != "random":
         _require_kernel_domain(n, h)
-
-        def fields(masks):
-            return enumeration.offers_for_bidder(masks, n, h, auction)
-
     first: dict[int, int] = {}
     waiting: dict[tuple[int, int], np.ndarray] = {}
     for lo, hi in _mask_ranges(n):
-        for i, field in enumerate(fields(enumeration.mask_array(lo, hi)), start=1):
+        rows = enumeration.offers_for_bidder(enumeration.mask_array(lo, hi), n, h, auction)
+        for i, field in enumerate(rows, start=1):
             if i in first:
                 continue
             bit = 1 << (i - 1)
@@ -476,8 +468,6 @@ def bid_independence_violations(
             else:
                 base = lo - bit
                 bids_low, bids_high = waiting.pop((i, base)), field
-            if auction == "random":
-                bids_high = bids_high - 1  # k counts bidder i's own high bid
             # ranges and pairs arrive in increasing order of base, and a
             # hit's mask has bit i-1 clear, so the first hit is the smallest
             # mask whose flip changes the offer

@@ -1,24 +1,31 @@
-"""The vector form of the deterministic offer rules: one kernel per auction.
+"""The vector form of the offer rules: one kernel per rule.
 
 The scalar rules in auctions.py define each auction one bidder at a time.
 The kernels here apply the same rules to many bid vectors at once.  The
-sweeps, Monte Carlo and the truthfulness and block checks of the
-deterministic auctions all call them, and the test suite holds them equal to
-the scalar rules.
+sweeps, Monte Carlo and the truthfulness and block checks all call them, and
+the test suite holds them equal to the scalar rules.
 
+- Every auction here reads n_h(i), the high bids bidder i sees among the
+  others; `seen_high_counts` is its int8 (n, rows) vector form.  The
+  randomized auction's offer distribution is a function of it alone.
 - DOP and threshold-DOP offer h iff n_h(i) >= t for a count threshold t
   (`count_threshold`), so their revenue is a function of the high count k
   alone (`count_revenues`).
-- The derandomized rule depends on the bids themselves: `derand_offers`
-  walks a bidder-major (n, rows) boolean high matrix once, and each bidder's
-  offers are one gather from a per-call boolean table indexed by high count
-  and hash value.  Its revenue, though, depends only on k and on S, the sum
-  of the high bidders' indices (`derand_revenues`).
+- The derandomized rule offers h iff z mod B(n_h(i)) < a+(n_h(i)), with
+  the class table (B, a+) built once per (n, h) by `derand_classes` and the
+  test written once, as the window count `_window_offers`.  Its offers
+  depend on the bids themselves: `derand_offers` walks a bidder-major
+  (n, rows) boolean high matrix once, and each bidder's offers are one
+  gather from a per-call boolean table of the window rule, indexed by high
+  count and hash value.  Its revenue, though, depends only on k and on S,
+  the sum of the high bidders' indices (`derand_revenues`).
 
 A mask encodes one bid vector (bit i-1 set <=> bidder i bids high).
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -27,7 +34,8 @@ from .core import revenue_by_offer_counts
 
 # derand_offers gathers from an (n + 1, W) bool table, W = n(n+1)/2 + n + 1,
 # through int32 indices below (n + 1) * W, about n**3 / 2: 8.5 MB of table and
-# indices below 2**24 at this cap.  The enumerating callers stop at n = 30.
+# indices below 2**24 at this cap, though the int64 window counts it is built
+# from peak near 0.3 GB there.  The enumerating callers stop at n = 30.
 DERAND_OFFERS_N_LIMIT = 1 << 8
 
 
@@ -41,10 +49,20 @@ def popcount(masks: np.ndarray) -> np.ndarray:
 
 def high_matrix(masks: np.ndarray, n: int) -> np.ndarray:
     """Bidder-major bids: row i-1 says, per mask, whether bidder i bids high."""
+    if n > 31:  # the int32 copy below holds every mask of at most 31 bidders
+        raise ValueError(f"n={n} exceeds the int32 mask limit 31")
+    bits = masks.astype(np.int32)
     high = np.empty((n, len(masks)), dtype=bool)
     for i, row in enumerate(high):
-        row[:] = (masks >> i) & 1
+        row[:] = bits & np.int32(1 << i)
     return high
+
+
+def seen_high_counts(masks: np.ndarray, n: int) -> np.ndarray:
+    """n_h(i), the high bids that bidder i sees among the others, as an int8
+    (n, len(masks)) matrix whose row i-1 belongs to bidder i; a mask has at
+    most 63 bits, so int8 holds every count."""
+    return popcount(masks).astype(np.int8) - high_matrix(masks, n).view(np.int8)
 
 
 def high_index_sum(high: np.ndarray) -> np.ndarray:
@@ -84,9 +102,23 @@ def count_revenues(k: np.ndarray, n: int, h: int, t: int) -> np.ndarray:
     return revenue_by_offer_counts(n, h, (n - k) * (k >= t), k * (k > t))
 
 
-def _derand_moduli(n: int, h: int) -> np.ndarray:
-    """B(m) = derand_modulus(h, m) for every high count m = 0..n."""
-    return np.array([derand_modulus(h, m) for m in range(n + 1)], dtype=np.int64)
+@lru_cache(maxsize=64)
+def derand_classes(n: int, h: int) -> tuple[np.ndarray, np.ndarray]:
+    """The derandomized rule's class table, read-only: B(m) = derand_modulus(h, m)
+    and a+(m) = clamp(h*m - n, 0, B(m)) for every high count m = 0..n."""
+    moduli = np.array([derand_modulus(h, m) for m in range(n + 1)], dtype=np.int64)
+    a_plus = np.clip(h * np.arange(n + 1, dtype=np.int64) - n, 0, moduli)
+    moduli.flags.writeable = a_plus.flags.writeable = False
+    return moduli, a_plus
+
+
+def _window_offers(start, length, b_val, a_plus):
+    """How many z in [start, start + length) have z mod b_val < a_plus."""
+
+    def below(x):
+        return x // b_val * a_plus + np.minimum(x % b_val, a_plus)
+
+    return below(start + length) - below(start)
 
 
 def derand_offers(high: np.ndarray, h: int) -> np.ndarray:
@@ -98,14 +130,15 @@ def derand_offers(high: np.ndarray, h: int) -> np.ndarray:
     the index sum of the other high bidders and Y the number of high bidders
     before i: (B - 1) * Y = -Y (mod B), so z = v mod B(m).  Since
     1 <= v < W = n(n+1)/2 + n + 1, the offers of every (m, v) form one
-    (n + 1, W) table, and each bidder costs one int32 gather from it.
+    (n + 1, W) table, the window rule on windows of one hash value, and each
+    bidder costs one int32 gather from it.
     """
     n = len(high)
     if n > DERAND_OFFERS_N_LIMIT:
         raise ValueError(f"n={n} exceeds the derand offer table limit {DERAND_OFFERS_N_LIMIT}")
     width = n * (n + 1) // 2 + n + 1
-    table = np.arange(width) % _derand_moduli(n, h)[:, None] < h * np.arange(n + 1)[:, None] - n
-    flat = table.ravel()
+    moduli, a_plus = derand_classes(n, h)
+    flat = _window_offers(np.arange(width), 1, moduli[:, None], a_plus[:, None]).ravel() > 0
     bits = high.view(np.int8)
     # bidder i reads flat[i + start - bit * (W + i)], where
     # start = k * W + S - Y = sum of bit * (W + j) over all j, less Y
@@ -121,15 +154,6 @@ def derand_offers(high: np.ndarray, h: int) -> np.ndarray:
     return offered_h
 
 
-def _window_offers(start, length, b_val, a_plus):
-    """How many z in [start, start + length) have z mod b_val < a_plus."""
-
-    def below(x):
-        return x // b_val * a_plus + np.minimum(x % b_val, a_plus)
-
-    return below(start + length) - below(start)
-
-
 def derand_revenues(k, index_sum, n: int, h: int) -> np.ndarray:
     """Revenue of the derandomized auction on vectors with k high bids whose
     (1-based) indices sum to index_sum; k and index_sum broadcast.
@@ -140,8 +164,7 @@ def derand_revenues(k, index_sum, n: int, h: int) -> np.ndarray:
     z = (S - y) mod B(k-1).  So each class's offers of h are one window
     count against a+ = clamp(h * n_h(i) - n, 0, B).
     """
-    moduli = _derand_moduli(n, h)
-    a_plus = np.clip(h * np.arange(n + 1, dtype=np.int64) - n, 0, moduli)
+    moduli, a_plus = derand_classes(n, h)
     k = np.asarray(k)
     m = np.maximum(k - 1, 0)  # at k = 0 the high window is empty
     low = _window_offers(index_sum + 1, n - k, moduli[k], a_plus[k])
@@ -166,10 +189,11 @@ REVENUE_KERNELS = {
 
 
 def offers_for_bidder(masks: np.ndarray, n: int, h: int, auction: str) -> np.ndarray:
-    """Whether each bidder is offered h on every mask: an (n, len(masks))
-    boolean matrix whose row i-1 belongs to bidder i."""
+    """What fixes each bidder's offer on every mask: an (n, len(masks))
+    matrix whose row i-1 belongs to bidder i.  It says whether a
+    deterministic auction offers h; for "random" it is n_h(i) itself, which
+    fixes the randomized auction's offer distribution."""
     if auction == "derand":
         return derand_offers(high_matrix(masks, n), h)
-    t = count_threshold(auction, n, h)
-    k = popcount(masks)
-    return np.stack([k - ((masks >> i) & 1) >= t for i in range(n)])
+    seen = seen_high_counts(masks, n)
+    return seen if auction == "random" else seen >= count_threshold(auction, n, h)

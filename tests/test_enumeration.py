@@ -9,13 +9,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bivalued_auctions import LOW_VALUE, AuctionParams, BidVector, offer_rule, run_auction
+from bivalued_auctions import (
+    LOW_VALUE,
+    AuctionParams,
+    BidVector,
+    count_high_excluding,
+    derand_modulus,
+    offer_rule,
+    run_auction,
+)
 from bivalued_auctions.analysis import KERNEL_HN_LIMIT, _sample_revenues
 from bivalued_auctions.enumeration import (
     DERAND_OFFERS_N_LIMIT,
     REVENUE_KERNELS,
     count_revenues,
     count_threshold,
+    derand_classes,
     derand_offers,
     derand_revenues,
     high_index_sum,
@@ -230,3 +239,51 @@ def test_derand_table_is_bounded():
     )
     with pytest.raises(ValueError, match="derand offer table limit"):
         derand_offers(np.ones((DERAND_OFFERS_N_LIMIT + 1, 1), dtype=bool), 2)
+
+
+@pytest.mark.parametrize("n", [*range(1, 13), 30, 64])
+@pytest.mark.parametrize("h", [2, 3, 5, 8, None])
+def test_derand_classes_match_the_scalar_modulus_and_clamp(n, h):
+    # None stands for the largest h of the kernel domain, KERNEL_HN_LIMIT // n
+    h = h or KERNEL_HN_LIMIT // n
+    moduli, a_plus = derand_classes(n, h)
+    assert moduli.dtype == a_plus.dtype == np.int64
+    for m in range(n + 1):
+        b_val = derand_modulus(h, m)
+        assert (moduli[m], a_plus[m]) == (b_val, min(max(h * m - n, 0), b_val)), m
+    for table in (moduli, a_plus):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 7
+
+
+def _assert_random_rows_are_seen_counts(n: int, masks) -> None:
+    p = AuctionParams(n, 2)
+    seen = offers_for_bidder(np.array(masks, dtype=np.int64), n, 2, "random")
+    assert seen.shape == (n, len(masks)) and seen.dtype == np.int8
+    for column, mask in zip(seen.T.tolist(), masks):
+        b = BidVector(p, mask)
+        assert column == [count_high_excluding(b.mask_bidder(i)) for i in range(1, n + 1)]
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_random_rows_are_seen_high_counts_on_every_mask(n):
+    _assert_random_rows_are_seen_counts(n, range(1 << n))
+
+
+@st.composite
+def wide_masks(draw):
+    """(n, masks) for n up to the enumeration cap of 30 bidders."""
+    n = draw(st.integers(1, 30))
+    return n, draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=16))
+
+
+@given(wide_masks())
+@settings(max_examples=200, deadline=None)
+def test_random_rows_are_seen_high_counts(case):
+    _assert_random_rows_are_seen_counts(*case)
+
+
+def test_high_matrix_rejects_masks_wider_than_int32():
+    assert high_matrix(np.array([(1 << 31) - 1]), 31).all()
+    with pytest.raises(ValueError, match="int32 mask limit"):
+        high_matrix(np.array([1 << 31]), 32)
