@@ -33,10 +33,11 @@ from .auctions import derand_modulus, require_divisible
 from .core import revenue_by_offer_counts
 
 # derand_offers gathers from an (n + 1, W) bool table, W = n(n+1)/2 + n + 1,
-# through int32 indices below (n + 1) * W, about n**3 / 2: 8.5 MB of table and
-# indices below 2**24 at this cap, though the int64 window counts it is built
-# from peak near 0.3 GB there.  The enumerating callers stop at n = 30.
-DERAND_OFFERS_N_LIMIT = 1 << 8
+# through int32 indices below (n + 1) * W, about n**3 / 2: 139 k cells at this
+# cap, built through int64 window counts.  One call on a (64, 1) matrix took
+# 10 ms and raised the process peak by 5 MB.  The enumerating callers stop at
+# n = 30.
+DERAND_OFFERS_N_LIMIT = 1 << 6
 
 
 def mask_array(lo: int, hi: int) -> np.ndarray:

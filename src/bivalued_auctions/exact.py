@@ -14,13 +14,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import floor, isqrt, sqrt
+from math import isqrt, lcm, sqrt
 from typing import Iterable, Union
 
 RationalLike = Union[int, Fraction]
 ExactLike = Union[int, Fraction, "SurdSum"]
-
-_HALF = Fraction(1, 2)
 
 
 @lru_cache(maxsize=None)
@@ -167,25 +165,26 @@ class SurdSum:
 
     # -- sign and ordering -------------------------------------------------
 
-    def _bounds(self, bits: int) -> tuple[Fraction, Fraction]:
-        """Enclosing rational interval, tight to ~2**-bits per term."""
-        lo = hi = Fraction(0)
-        scale = 1 << bits
+    def _bounds(self, bits: int) -> tuple[int, int, int]:
+        """Integers (lo, hi, unit) with lo <= self * unit <= hi, where
+        unit = D * 2**bits for the common denominator D of the coefficients;
+        each irrational term widens the interval by 1."""
+        den = lcm(*(c.denominator for _, c in self._terms))
+        lo = hi = 0
         for r, c in self._terms:
+            p = c.numerator * (den // c.denominator)
             if r == 1:
-                lo += c
-                hi += c
+                lo += p << bits
+                hi += p << bits
                 continue
-            x = isqrt(r << (2 * bits))
-            rlo = Fraction(x, scale)
-            rhi = Fraction(x + 1, scale)
-            if c >= 0:
-                lo += c * rlo
-                hi += c * rhi
+            x = isqrt(p * p * r << (2 * bits))  # floor(|p| * sqrt(r) * 2**bits)
+            if p > 0:
+                lo += x
+                hi += x + 1
             else:
-                lo += c * rhi
-                hi += c * rlo
-        return lo, hi
+                lo -= x + 1
+                hi -= x
+        return lo, hi, den << bits
 
     def sign(self) -> int:
         if not self._terms:
@@ -196,7 +195,7 @@ class SurdSum:
             return -1
         bits = 32
         while True:
-            lo, hi = self._bounds(bits)
+            lo, hi, _ = self._bounds(bits)
             if lo > 0:
                 return 1
             if hi < 0:
@@ -231,18 +230,14 @@ class SurdSum:
     def to_decimal(self, digits: int = 9) -> str:
         """Deterministic fixed-point rendering, round-half-up."""
         scale = 10**digits
-        if self.is_rational:
-            k = floor(self.as_fraction() * scale + _HALF)
-        else:
-            bits = 64
-            while True:
-                lo, hi = self._bounds(bits)
-                klo = floor(lo * scale + _HALF)
-                khi = floor(hi * scale + _HALF)
-                if klo == khi:
-                    k = klo
-                    break
-                bits *= 2
+        bits = 64  # a rational value's bounds meet at once
+        while True:
+            lo, hi, unit = self._bounds(bits)
+            # floor(x * scale + 1/2) at x = lo / unit and at x = hi / unit
+            k = (2 * scale * lo + unit) // (2 * unit)
+            if k == (2 * scale * hi + unit) // (2 * unit):
+                break
+            bits *= 2
         sign = "-" if k < 0 else ""
         k = abs(k)
         if digits == 0:

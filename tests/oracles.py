@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from decimal import Decimal, getcontext
 from fractions import Fraction
+from math import floor, isqrt
 
 
 def opt_revenue(bids: list[int], h: int) -> int:
@@ -91,3 +92,62 @@ def random_expected_revenue_decimal(n: int, h: int, k: int, prec: int = 50) -> D
     p_low = random_offer_probability_decimal(n, h, k, prec)
     p_high = random_offer_probability_decimal(n, h, k - 1, prec) if k >= 1 else Decimal(0)
     return (n - k) * (1 - p_low) + k * (h * p_high + (1 - p_high))
+
+
+def surd_bounds(terms, bits: int) -> tuple[Fraction, Fraction]:
+    """Enclosing rational interval of sum c * sqrt(r) over (r, c) terms,
+    tight to about |c| * 2**-bits per term, in Fractions."""
+    lo = hi = Fraction(0)
+    scale = 1 << bits
+    for r, c in terms:
+        if r == 1:
+            lo += c
+            hi += c
+            continue
+        x = isqrt(r << (2 * bits))
+        rlo = Fraction(x, scale)
+        rhi = Fraction(x + 1, scale)
+        if c >= 0:
+            lo += c * rlo
+            hi += c * rhi
+        else:
+            lo += c * rhi
+            hi += c * rlo
+    return lo, hi
+
+
+def surd_sign(terms) -> int:
+    """Sign of a normalized surd sum (square-free radicands), by refining
+    surd_bounds until the interval excludes 0."""
+    if not terms:
+        return 0
+    bits = 32
+    while True:
+        lo, hi = surd_bounds(terms, bits)
+        if lo > 0:
+            return 1
+        if hi < 0:
+            return -1
+        bits *= 2
+
+
+def surd_to_decimal(terms, digits: int) -> str:
+    """Round-half-up fixed point, floor(x * 10**digits + 1/2), refined
+    until both ends of surd_bounds round alike."""
+    scale = 10**digits
+    half = Fraction(1, 2)
+    if all(r == 1 for r, _ in terms):
+        k = floor(sum((c for _, c in terms), Fraction(0)) * scale + half)
+    else:
+        bits = 64
+        while True:
+            lo, hi = surd_bounds(terms, bits)
+            k = floor(lo * scale + half)
+            if k == floor(hi * scale + half):
+                break
+            bits *= 2
+    sign = "-" if k < 0 else ""
+    k = abs(k)
+    if digits == 0:
+        return f"{sign}{k}"
+    return f"{sign}{k // scale}.{k % scale:0{digits}d}"

@@ -319,6 +319,67 @@ class TestMultipleMaskRanges:
         assert one[0] == target + 1 and one[1][0].mask == target
 
 
+def _scalar_checks(p: AuctionParams, lo: int, offered_h: np.ndarray) -> list:
+    """block_structure_check on each column of the kernel's offers, the
+    first column being mask lo."""
+    return [
+        analysis.block_structure_check(
+            BidVector(p, mask), offers=tuple(np.where(column, p.h, 1).tolist())
+        )
+        for mask, column in enumerate(offered_h.T, start=lo)
+    ]
+
+
+def _scalar_block_sweep(p: AuctionParams):
+    """The per-vector loop that block_structure_sweep replaced."""
+    for lo, hi in analysis._mask_ranges(p.n):
+        masks = analysis.enumeration.mask_array(lo, hi)
+        offered_h = analysis.enumeration.offers_for_bidder(masks, p.n, p.h, "derand")
+        for mask, result in enumerate(_scalar_checks(p, lo, offered_h), start=lo):
+            if not result.ok:
+                return mask + 1, (BidVector(p, mask), result.violation)
+    return 1 << p.n, None
+
+
+class TestVectorBlockCheck:
+    """The vectorized block check against block_structure_check, clean and
+    with a seeded 2 % of the kernel's offers flipped, for n <= 10, h = 2..6."""
+
+    @pytest.fixture(params=[False, True], ids=["clean", "flipped"])
+    def flipped(self, request, monkeypatch):
+        if request.param:
+            offers_for_bidder = analysis.enumeration.offers_for_bidder
+
+            def flip(masks, n, h, auction):
+                offered_h = offers_for_bidder(masks, n, h, auction)
+                rng = np.random.default_rng([n, h, int(masks[0])])
+                return offered_h ^ (rng.random(offered_h.shape) < 0.02)
+
+            monkeypatch.setattr(analysis.enumeration, "offers_for_bidder", flip)
+        return request.param
+
+    @pytest.mark.parametrize("mask_range", [1 << 16, 1 << 3])
+    def test_sweep_matches_the_scalar_loop(self, monkeypatch, flipped, mask_range):
+        monkeypatch.setattr(analysis, "_MASK_RANGE", mask_range)
+        for n in range(1, 11):
+            for h in range(2, 7):
+                p = AuctionParams(n, h)
+                assert block_structure_sweep(p) == _scalar_block_sweep(p), (n, h)
+
+    def test_every_vector_matches_the_scalar_check(self, flipped):
+        failures = 0
+        for n in range(1, 11):
+            for h in range(2, 7):
+                masks = analysis.enumeration.mask_array(0, 1 << n)
+                offered_h = analysis.enumeration.offers_for_bidder(masks, n, h, "derand")
+                want = [not r.ok for r in _scalar_checks(AuctionParams(n, h), 0, offered_h)]
+                got = analysis._block_failures(masks, offered_h, n, h)
+                assert got.tolist() == want, (n, h)
+                failures += sum(want)
+        # the flips break the claim on 584 of the 10230 vectors
+        assert failures > 500 if flipped else failures == 0
+
+
 class TestPoolWidth:
     def widths(self, monkeypatch, threads) -> list[int]:
         """max_workers of every pool one Monte Carlo run over cores + 2 chunks

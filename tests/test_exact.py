@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import floor, isqrt
 
 import pytest
 from hypothesis import given, strategies as st
 
+import oracles
 from bivalued_auctions.auctions import offer_probability_by_count
 from bivalued_auctions.exact import (
     SurdSum,
@@ -149,6 +150,31 @@ class TestSurdSum:
         approx = sum(float(c) * r**0.5 for r, c in pairs)
         if abs(approx) > 1e-9:
             assert total.sign() == (1 if approx > 0 else -1)
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(1, 50), st.fractions(max_denominator=1000)),
+            max_size=4,
+        ),
+        st.integers(0, 12),
+        st.integers(-3, 3),
+        st.sampled_from([0, 1, -1]),
+        st.integers(1, 80),
+    )
+    def test_rendering_and_sign_match_the_fraction_oracle(self, pairs, digits, j, side, e):
+        # v, v moved next to a rounding tie (onto it when v is rational), v
+        # moved next to 0, and the tie itself, each against the Fraction
+        # enclosure of tests/oracles
+        v = SurdSum.of(0)
+        for radicand, coeff in pairs:
+            v = v + SurdSum.multiple(coeff, radicand)
+        scale = 10**digits
+        lo, _ = oracles.surd_bounds(v.terms, 200)  # within 2**-190 below v
+        tie = (floor(lo * scale) + j + Fraction(1, 2)) / scale
+        offset = Fraction(side, scale << e)
+        for x in (v, v + (tie - lo + offset), v - lo + offset, SurdSum.of(tie)):
+            assert x.to_decimal(digits) == oracles.surd_to_decimal(x.terms, digits), x
+            assert x.sign() == oracles.surd_sign(x.terms), x
 
     @given(st.fractions(min_value=0, max_value=1, max_denominator=1000))
     def test_ordering_against_fractions(self, q):
