@@ -459,8 +459,7 @@ def block_structure_sweep(
             offers = tuple(np.where(offered_h[:, col], h, LOW_VALUE).tolist())
             result = block_structure_check(b, offers=offers)
             if result.ok:
-                raise RuntimeError(f"the vector block check and block_structure_check "
-                                   f"disagree on {b.to_string()}")
+                raise IdentityCheckError("derand-block-kernel-agrees-with-scalar-check", b.to_string())
             return b.mask + 1, (b, result.violation)
     return 1 << n, None
 
@@ -527,34 +526,31 @@ def bid_independence_violations(
 # ---------------------------------------------------------------------------
 
 
-def _expectation_over_counts(n: int, h: int, at_boundary: int) -> Fraction:
-    """E[max(n, h*K)] under the hard distribution, except that the boundary
-    count K = n/h earns at_boundary.  P[K = k] = w[k] / h**n with the integer
-    w[k] = C(n, k) * (h-1)**(n-k), so the sum is one integer over h**n."""
-    require_divisible(n, h)
-    t = n // h
+def _expectation_over_counts(n: int, h: int, values: list[int]) -> Fraction:
+    """E[values[K]] under the hard distribution, for per-count integer values.
+    P[K = k] = w[k] / h**n with the integer w[k] = C(n, k) * (h-1)**(n-k), so
+    the sum is one integer over h**n."""
     w = [1] * (n + 1)
     for k in range(n - 1, -1, -1):
         # C(n, k) = C(n, k+1) * (k+1) / (n-k), exactly
-        w[k] = w[k + 1] * (k + 1) * (h - 1) // (n - k)
-    below = n * sum(w[:t])
-    above = h * sum(k * w[k] for k in range(t + 1, n + 1))
-    return Fraction(below + at_boundary * w[t] + above, h**n)
+        w[k] = w[k + 1] * ((k + 1) * (h - 1)) // (n - k)  # one big-int product
+    return Fraction(sum(wk * v for wk, v in zip(w, values)), h**n)
 
 
 def exact_e_opt_under_d(n: int, h: int) -> Fraction:
     """E[max(n, h*K)] for K ~ Binomial(n, 1/h), exactly (needs h | n)."""
-    return _expectation_over_counts(n, h, n)
+    require_divisible(n, h)
+    return _expectation_over_counts(n, h, np.maximum(n, h * np.arange(n + 1)).tolist())
 
 
 def exact_e_dop_under_d(n: int, h: int) -> Fraction:
-    """Expected revenue of threshold-DOP under the hard distribution.
-
-    Identical to the benchmark expectation except on the boundary count
-    K = n/h, where the auction collects only n/h; the bid-independence
-    argument forces the total to equal n exactly.
+    """Expected revenue of threshold-DOP under the hard distribution, summed
+    from the count kernel's per-count revenues (int64 is exact: each is at
+    most h*n); the bid-independence argument forces the total to equal n.
     """
-    return _expectation_over_counts(n, h, n // h)
+    t = enumeration.count_threshold("threshold-dop", n, h)
+    revenues = enumeration.count_revenues(np.arange(n + 1), n, h, t)
+    return _expectation_over_counts(n, h, revenues.tolist())
 
 
 def lower_bound_gap(n: int, h: int) -> Fraction:

@@ -160,11 +160,11 @@ def _sweep_rows(ns: argparse.Namespace) -> list[dict]:
 def _demo_dop_rows(ns: argparse.Namespace) -> list[dict]:
     ratio = analysis.dop_unboundedness_demo(ns.h, ns.n)
     n = ns.n if ns.n is not None else ns.h * ns.h
-    t = n // ns.h
+    revenue = n // ratio  # ratio = opt / revenue, opt = n, revenue an integer
     return [{
         "command": "demo-dop", "n": n, "h": ns.h, "auction": "dop",
-        "n_h": t, "opt": n, "revenue": t, "loss": n - t,
-        "normalized_loss": analysis._normalize(n - t, n, ns.h),
+        "n_h": n // ns.h, "opt": n, "revenue": revenue, "loss": n - revenue,
+        "normalized_loss": analysis._normalize(n - revenue, n, ns.h),
         "ratio": ratio,
     }]
 

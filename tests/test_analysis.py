@@ -287,6 +287,14 @@ class TestBlockSweep:
             with pytest.raises(ValueError, match="enumeration cap"):
                 call()
 
+    def test_kernel_flag_that_the_scalar_check_clears_is_an_identity_error(self, monkeypatch):
+        # the vector check flags mask 5, which block_structure_check passes
+        monkeypatch.setattr(analysis, "_block_failures", lambda masks, *_: masks == 5)
+        with pytest.raises(IdentityCheckError) as info:
+            block_structure_sweep(AuctionParams(6, 2))
+        assert info.value.invariant == "derand-block-kernel-agrees-with-scalar-check"
+        assert str(info.value).endswith("(HLHLLL)")
+
 
 class TestMultipleMaskRanges:
     """The enumerating sweeps with 2**3-mask ranges, so that n <= 10 spans

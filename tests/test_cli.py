@@ -239,6 +239,15 @@ class TestExitCodes:
         assert code == 2
         assert "derand-block-structure" in err
 
+    def test_block_kernel_disagreement_is_two(self, capsys, monkeypatch):
+        # the vector check flags mask 5, which block_structure_check passes
+        monkeypatch.setattr(analysis, "_block_failures", lambda masks, *_: masks == 5)
+        code, out, err = run_cli(capsys, "block-check", "--n", "6", "--h", "2")
+        assert code == 2 and out == ""
+        assert err == (
+            "identity violated: derand-block-kernel-agrees-with-scalar-check (HLHLLL)\n"
+        )
+
 
 class TestOutputFile:
     def test_writes_file(self, capsys, tmp_path):

@@ -2,6 +2,10 @@
 
 `exact_e_opt_under_d` and `exact_e_dop_under_d` sum integer numerators over
 the one denominator h**n; the oracle here sums one Fraction per count.
+E[threshold-DOP] = n reads the count kernel `enumeration.count_revenues`, so
+a wrong kernel breaks `dist-d`; the same identity is held here, in Python
+ints and in surds, for DOP with h not dividing n and for the randomized
+auction.
 `_sample_revenues` draws in fixed-size row blocks and settles the randomized
 auction per block; the oracle draws the whole chunk at once and gathers each
 bidder's threshold.  Both pairs must agree exactly, down to the generator's
@@ -16,8 +20,9 @@ from math import comb
 import numpy as np
 import pytest
 
-from bivalued_auctions import AUCTION_NAMES, analysis, enumeration
-from bivalued_auctions.auctions import _offer_threshold_by_count
+from bivalued_auctions import AUCTION_NAMES, IdentityCheckError, analysis, cli, enumeration
+from bivalued_auctions.auctions import _offer_threshold_by_count, expected_revenue_by_count
+from bivalued_auctions.core import revenue_by_offer_counts, settle
 from bivalued_auctions.rng import stream_generator
 
 
@@ -70,6 +75,55 @@ def test_identities_match_fraction_sums(n, h):
     want_opt, want_dop = fraction_expectations(n, h)
     assert analysis.exact_e_opt_under_d(n, h) == want_opt
     assert analysis.exact_e_dop_under_d(n, h) == want_dop == n
+
+
+def _late_count_revenues(k, n, h, t):
+    """count_revenues with low bidders offered h only when k > t."""
+    return revenue_by_offer_counts(n, h, (n - k) * (k > t), k * (k > t))
+
+
+def test_identity_certifies_the_count_kernel(monkeypatch, capsys):
+    monkeypatch.setattr(enumeration, "count_revenues", _late_count_revenues)
+    with pytest.raises(IdentityCheckError) as info:
+        analysis.check_distribution_identities(12, 3)
+    assert info.value.invariant == "expected-auction-revenue-equals-n"
+    assert cli.main(["dist-d", "--n", "12", "--h", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("identity violated: expected-auction-revenue-equals-n")
+
+
+def test_demo_dop_prints_the_scalar_run(monkeypatch, capsys):
+    # offering h to bidder 1, a low bidder on the demo vector, and 1 to every
+    # other bidder earns n - 1, where DOP earns n/h
+    monkeypatch.setattr(
+        analysis, "run_auction", lambda b, auction: settle(b, [b.h] + [1] * (b.n - 1))
+    )
+    assert cli.main(["demo-dop", "--h", "3"]) == 0
+    row = capsys.readouterr().out.splitlines()[1].split(",")
+    assert row[4:8] == ["3", "9", "8", "1"]  # n_h, opt, revenue, loss
+
+
+def _weighted_total(n: int, h: int, revenues):
+    """Sum over high counts k of C(n, k) (h-1)**(n-k) rev(k): n * h**n for
+    every bid-independent auction with offers in {1, h}."""
+    return sum(comb(n, k) * (h - 1) ** (n - k) * rev for k, rev in enumerate(revenues))
+
+
+@pytest.mark.parametrize("h", range(2, 7))
+def test_dop_count_kernel_earns_n_under_the_hard_distribution(h):
+    for n in range(1, 41):  # h need not divide n
+        t = enumeration.count_threshold("dop", n, h)
+        revenues = enumeration.count_revenues(np.arange(n + 1), n, h, t).tolist()
+        assert _weighted_total(n, h, revenues) == n * h**n, (n, h)
+
+
+@pytest.mark.parametrize("h", [2, 3, 5, 10])
+def test_randomized_auction_earns_n_under_the_hard_distribution(h):
+    for n in range(1, 25):
+        revenues = [expected_revenue_by_count(n, h, k) for k in range(n + 1)]
+        total = _weighted_total(n, h, revenues)
+        assert total.is_rational and total.as_fraction() == n * h**n, (n, h)
 
 
 def _block_rows(n: int) -> int:
