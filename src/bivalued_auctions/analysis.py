@@ -17,6 +17,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, lcm, sqrt
 from typing import Optional, Union
 
@@ -49,13 +50,14 @@ ENUMERATION_CAP = 30
 # quadratic in n: about half a second at this cap.
 DEMO_N_LIMIT = 1 << 16
 _MC_CHUNK = 1 << 14
-# Each Monte Carlo chunk holds a (_MC_CHUNK, n) bool bid matrix: at most
-# 256 MiB at this cap, per worker, with at most one worker per core.
+# Each Monte Carlo chunk holds a (_MC_CHUNK, n) bool bid matrix, or a row
+# range of one a share of it: at most 256 MiB at this cap, per worker, with
+# at most one worker per core.
 MC_N_LIMIT = 1 << 14
 # Monte Carlo lists every chunk, and with threads submits each to a pool, before
 # any draw: 2**30 samples are 2**16 chunks, which peaked at 134 MB on 2 threads.
 MC_SAMPLES_LIMIT = 1 << 30
-# Draws per Monte Carlo block: one block's 8-byte matrix is at most 4 MB.
+# Draws per Monte Carlo block: one block's uint64 coin matrix is at most 4 MB.
 _MC_BLOCK_DRAWS = 1 << 19
 _NEG_INF = np.int64(-(1 << 60))
 # Index sums per block of the derandomized (k, S) sweep, which bounds its
@@ -140,11 +142,16 @@ def _mask_ranges(n: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + _MASK_RANGE, total)) for lo in range(0, total, _MASK_RANGE)]
 
 
-def _map_chunks(fn, jobs: list, threads: Optional[int]) -> list:
-    """fn over jobs in order, on min(threads or cores, cores, len(jobs))
-    threads: a pool only when that is more than one."""
+def _workers(threads: Optional[int]) -> int:
+    """Pool width for `threads`: min(threads or cores, cores)."""
     cores = os.cpu_count() or 1
-    workers = min(threads or cores, cores, len(jobs))
+    return min(threads or cores, cores)
+
+
+def _map_chunks(fn, jobs: list, threads: Optional[int]) -> list:
+    """fn over jobs in order, on min(_workers(threads), len(jobs)) threads: a
+    pool only when that is more than one."""
+    workers = min(_workers(threads), len(jobs))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, jobs))
@@ -319,11 +326,23 @@ def enumerated_sweep(params: AuctionParams, auction: str) -> LossProfile:
 # ---------------------------------------------------------------------------
 
 
-def check_demo(h: int, n: int) -> None:
-    """Raise ValueError unless dop_unboundedness_demo accepts (h, n)."""
+def check_demo(h: int, n: Optional[int] = None) -> int:
+    """Raise ValueError unless dop_unboundedness_demo accepts (h, n); return
+    the demo's n, which defaults to h**2."""
+    n = h * h if n is None else n
     if n > DEMO_N_LIMIT:
         raise ValueError(f"n={n} exceeds the demo limit {DEMO_N_LIMIT}")
     require_divisible(n, h)
+    return n
+
+
+def _dop_demo(h: int, n: Optional[int] = None) -> tuple[BidVector, Fraction]:
+    """The demo's vector, with exactly n/h high bids, and DOP's benchmark-to-
+    revenue ratio on it."""
+    n = check_demo(h, n)
+    n_high = n // h
+    b = BidVector(AuctionParams(n, h), ((1 << n_high) - 1) << (n - n_high))
+    return b, Fraction(offline_optimal(b), run_auction(b, "dop").revenue)
 
 
 def dop_unboundedness_demo(h: int, n: Optional[int] = None) -> Fraction:
@@ -332,13 +351,7 @@ def dop_unboundedness_demo(h: int, n: Optional[int] = None) -> Fraction:
     Returns n / n_high = h: on this input DOP offers every high bidder 1 and
     every low bidder h, so only the high bidders pay, 1 each.
     """
-    n = h * h if n is None else n
-    check_demo(h, n)
-    params = AuctionParams(n, h)
-    n_high = n // h
-    b = BidVector(params, ((1 << n_high) - 1) << (n - n_high))
-    schedule = run_auction(b, "dop")
-    return Fraction(offline_optimal(b), schedule.revenue)
+    return _dop_demo(h, n)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -526,15 +539,22 @@ def bid_independence_violations(
 # ---------------------------------------------------------------------------
 
 
-def _expectation_over_counts(n: int, h: int, values: list[int]) -> Fraction:
-    """E[values[K]] under the hard distribution, for per-count integer values.
-    P[K = k] = w[k] / h**n with the integer w[k] = C(n, k) * (h-1)**(n-k), so
-    the sum is one integer over h**n."""
+@lru_cache(maxsize=1)
+def _count_weights(n: int, h: int) -> tuple[int, ...]:
+    """w[k] = C(n, k) * (h-1)**(n-k), so that P[K = k] = w[k] / h**n under the
+    hard distribution.  The last list is kept, so the two expectations of
+    one identity check sum over one list."""
     w = [1] * (n + 1)
     for k in range(n - 1, -1, -1):
         # C(n, k) = C(n, k+1) * (k+1) / (n-k), exactly
         w[k] = w[k + 1] * ((k + 1) * (h - 1)) // (n - k)  # one big-int product
-    return Fraction(sum(wk * v for wk, v in zip(w, values)), h**n)
+    return tuple(w)
+
+
+def _expectation_over_counts(n: int, h: int, values: list[int]) -> Fraction:
+    """E[values[K]] under the hard distribution, for per-count integer values:
+    one integer sum over h**n."""
+    return Fraction(sum(wk * v for wk, v in zip(_count_weights(n, h), values)), h**n)
 
 
 def exact_e_opt_under_d(n: int, h: int) -> Fraction:
@@ -599,36 +619,38 @@ class DistributionDReport:
 
 
 def _sample_revenues(
-    rng: np.random.Generator, n: int, h: int, auction: str, rows: int
+    rng: np.random.Generator, n: int, h: int, auction: str, rows: int,
+    *, coins: Optional[np.random.Generator] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw `rows` bid vectors (high w.p. 1/h) and settle the named auction.
 
     The draws are made in blocks of at most _MC_BLOCK_DRAWS, first every
     bid, then the randomized auction's coins, so the stream is consumed as
-    by one (rows, n) draw of each and no block's 8-byte matrix exceeds 4 MB.
+    by one (rows, n) draw of each and no block's coin matrix exceeds 4 MB.
+    Bids are drawn as int32, which takes numpy's same 32-bit Lemire path as
+    an int64 draw and so reads the same stream.  The coins come from `coins`
+    when it is given (a range of a cut chunk), else from rng after the bids.
     """
     step = max(1, _MC_BLOCK_DRAWS // n)
     blocks = [(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
     high = np.empty((rows, n), dtype=bool)
     for lo, hi in blocks:
-        np.equal(rng.integers(0, h, size=(hi - lo, n)), 0, out=high[lo:hi])
+        np.equal(rng.integers(0, h, size=(hi - lo, n), dtype=np.int32), 0, out=high[lo:hi])
     k = high.sum(axis=1, dtype=np.int64)
     opt = np.maximum(n, h * k)
     if auction == "derand":
         revenue = enumeration.derand_revenues(k, enumeration.high_index_sum(high.T), n, h)
     elif auction == "random":
-        revenue = _random_revenues(rng, high, k, h, blocks)
+        revenue = _random_revenues(rng if coins is None else coins, high, k, h, blocks)
     else:
         revenue = enumeration.count_revenues(k, n, h, enumeration.count_threshold(auction, n, h))
     return revenue, opt
 
 
-def _random_revenues(rng, high, k, h: int, blocks) -> np.ndarray:
-    """Settle the randomized auction on the rows of high, one coin block at
-    a time: bidder i is offered h iff its coin falls below the 64-bit
-    threshold of n_h(i), which is k for a low bidder and k - 1 for a high
-    one, or that probability is 1."""
-    n = high.shape[1]
+@lru_cache(maxsize=16)
+def _coin_thresholds(n: int, h: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per n_h(i): the 64-bit coin threshold of an offer of h, and whether
+    that offer is sure (its threshold is 2**64)."""
     thresholds = np.zeros(n + 1, dtype=np.uint64)
     always = np.zeros(n + 1, dtype=bool)
     for m in range(n + 1):
@@ -637,6 +659,17 @@ def _random_revenues(rng, high, k, h: int, blocks) -> np.ndarray:
             always[m] = True
         else:
             thresholds[m] = t64
+    thresholds.flags.writeable = always.flags.writeable = False
+    return thresholds, always
+
+
+def _random_revenues(rng, high, k, h: int, blocks) -> np.ndarray:
+    """Settle the randomized auction on the rows of high, one coin block at
+    a time: bidder i is offered h iff its coin falls below the 64-bit
+    threshold of n_h(i), which is k for a low bidder and k - 1 for a high
+    one, or that probability is 1."""
+    n = high.shape[1]
+    thresholds, always = _coin_thresholds(n, h)
     revenue = np.empty(len(k), dtype=np.int64)
     for lo, hi in blocks:
         coins = rng.integers(0, 1 << 64, size=(hi - lo, n), dtype=np.uint64, endpoint=False)
@@ -648,6 +681,34 @@ def _random_revenues(rng, high, k, h: int, blocks) -> np.ndarray:
         high_offered = np.where(always[high_m], low_m, high_offered)
         revenue[lo:hi] = revenue_by_offer_counts(n, h, low_offered, high_offered)
     return revenue
+
+
+def _stream_at(seed: int, stream: int, word: int) -> np.random.Generator:
+    """stream_generator(seed, stream) as it stands after `word` 64-bit draws.
+
+    Philox is counter-based: numpy makes four words per counter step, so
+    advancing the counter skips word // 4 steps and the rest are drawn."""
+    rng = stream_generator(seed, stream)
+    rng.bit_generator.advance(word // 4)
+    rng.bit_generator.random_raw(word % 4)
+    return rng
+
+
+def _half_words_drawn(rng: np.random.Generator) -> int:
+    """32-bit halves a Philox generator has used: each full word counts two,
+    less the buffered upper half of a word whose lower half was drawn."""
+    state = rng.bit_generator.state
+    words = 4 * int(state["state"]["counter"][0]) + state["buffer_pos"] - 4
+    return 2 * words - state["has_uint32"]
+
+
+def _sums(revenue: np.ndarray, opt: np.ndarray) -> tuple[int, int, int, int]:
+    return (
+        int(revenue.sum(dtype=np.int64)),
+        int((revenue * revenue).sum(dtype=np.int64)),
+        int(opt.sum(dtype=np.int64)),
+        int((opt * opt).sum(dtype=np.int64)),
+    )
 
 
 def _mean_stderr(total: int, total_sq: int, count: int) -> tuple[float, float]:
@@ -682,34 +743,52 @@ def monte_carlo_under_d(
     """Sample the hard distribution and estimate mean revenues.
 
     Chunked into fixed-size blocks with one keyed Philox stream each, so the
-    estimates are reproducible and independent of worker count; the chunks
-    run on min(threads or cores, cores, chunks) threads (_map_chunks).
-    Every bid-independent auction with offers in {1, h} earns exactly 1 per
-    bidder in expectation here, so the auction mean must sit near n.
+    estimates are reproducible and independent of worker count.  With fewer
+    chunks than workers (_workers), each chunk is cut into
+    ceil(workers / chunks) row ranges of an even size, and every range runs
+    on the pool from generators positioned where the chunk's sequential
+    draw would read it (_stream_at): its bids at half-word lo*n, and the
+    randomized auction's coins at word ceil(rows*n/2) + lo*n.  That holds
+    unless a bid draw was rejected (probability (2**32 mod h) / 2**32 each),
+    so every range's end position is compared with the next one's start
+    and with the coin start; a chunk with any mismatch is redrawn whole on
+    the calling thread.  Every bid-independent auction with offers in
+    {1, h} earns exactly 1 per bidder in expectation here, so the auction
+    mean must sit near n.
     """
     check_monte_carlo(n, h, auction, samples)
 
     sizes = [min(_MC_CHUNK, samples - lo) for lo in range(0, samples, _MC_CHUNK)]
+    parts = -(-_workers(threads) // len(sizes))  # 1 unless chunks < workers
+    jobs = []
+    for stream, rows in enumerate(sizes):
+        step = -(-rows // parts)
+        step += step % 2  # an even step starts every range's bids on a whole word
+        jobs += [(stream, lo, min(lo + step, rows)) for lo in range(0, rows, step)]
 
-    def one_chunk(args: tuple[int, int]) -> tuple[int, int, int, int]:
-        stream, rows = args
+    def whole_chunk(stream: int) -> tuple[int, int, int, int]:
         rng = stream_generator(seed, stream)
-        revenue, opt = _sample_revenues(rng, n, h, auction, rows)
-        return (
-            int(revenue.sum(dtype=np.int64)),
-            int((revenue * revenue).sum(dtype=np.int64)),
-            int(opt.sum(dtype=np.int64)),
-            int((opt * opt).sum(dtype=np.int64)),
+        return _sums(*_sample_revenues(rng, n, h, auction, sizes[stream]))
+
+    def one_range(job: tuple[int, int, int]) -> tuple[tuple[int, int, int, int], bool]:
+        stream, lo, hi = job
+        rows = sizes[stream]
+        if hi - lo == rows:
+            return whole_chunk(stream), True
+        bids = _stream_at(seed, stream, lo * n // 2)
+        coin_start = (rows * n + 1) // 2
+        coins = _stream_at(seed, stream, coin_start + lo * n) if auction == "random" else None
+        revenue, opt = _sample_revenues(bids, n, h, auction, hi - lo, coins=coins)
+        placed = _half_words_drawn(bids) == hi * n and (
+            coins is None or _half_words_drawn(coins) == 2 * (coin_start + hi * n)
         )
+        return _sums(revenue, opt), placed
 
-    parts = _map_chunks(one_chunk, list(enumerate(sizes)), threads)
-
-    total = total_sq = opt_total = opt_sq = 0
-    for rev_sum, rev_sq, o_sum, o_sq in parts:
-        total += rev_sum
-        total_sq += rev_sq
-        opt_total += o_sum
-        opt_sq += o_sq
+    results = _map_chunks(one_range, jobs, threads)
+    redraw = {job[0] for job, (_, placed) in zip(jobs, results) if not placed}
+    sums = [part for job, (part, _) in zip(jobs, results) if job[0] not in redraw]
+    sums += [whole_chunk(stream) for stream in sorted(redraw)]
+    total, total_sq, opt_total, opt_sq = (sum(column) for column in zip(*sums))
 
     mean_auction, stderr_auction = _mean_stderr(total, total_sq, samples)
     mean_opt, stderr_opt = _mean_stderr(opt_total, opt_sq, samples)

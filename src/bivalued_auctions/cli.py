@@ -86,7 +86,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--n", type=_positive_int, default=None, help="defaults to h*h")
     _add_output_flags(sp)
     sp.set_defaults(
-        domain=lambda ns: analysis.check_demo(ns.h, ns.h * ns.h if ns.n is None else ns.n),
+        domain=lambda ns: analysis.check_demo(ns.h, ns.n),
         rows=_demo_dop_rows,
     )
 
@@ -158,12 +158,12 @@ def _sweep_rows(ns: argparse.Namespace) -> list[dict]:
 
 
 def _demo_dop_rows(ns: argparse.Namespace) -> list[dict]:
-    ratio = analysis.dop_unboundedness_demo(ns.h, ns.n)
-    n = ns.n if ns.n is not None else ns.h * ns.h
+    b, ratio = analysis._dop_demo(ns.h, ns.n)
+    n = b.n
     revenue = n // ratio  # ratio = opt / revenue, opt = n, revenue an integer
     return [{
         "command": "demo-dop", "n": n, "h": ns.h, "auction": "dop",
-        "n_h": n // ns.h, "opt": n, "revenue": revenue, "loss": n - revenue,
+        "n_h": count_high(b), "opt": n, "revenue": revenue, "loss": n - revenue,
         "normalized_loss": analysis._normalize(n - revenue, n, ns.h),
         "ratio": ratio,
     }]

@@ -6,10 +6,16 @@ E[threshold-DOP] = n reads the count kernel `enumeration.count_revenues`, so
 a wrong kernel breaks `dist-d`; the same identity is held here, in Python
 ints and in surds, for DOP with h not dividing n and for the randomized
 auction.
-`_sample_revenues` draws in fixed-size row blocks and settles the randomized
-auction per block; the oracle draws the whole chunk at once and gathers each
-bidder's threshold.  Both pairs must agree exactly, down to the generator's
-state after the draws.
+`_sample_revenues` draws in fixed-size row blocks, as int32, and settles the
+randomized auction per block; the oracle draws the whole chunk at once as
+int64 and gathers each bidder's threshold.  Both pairs must agree exactly,
+down to the generator's state after the draws.
+`monte_carlo_under_d` cuts its chunks into row ranges when it has fewer
+chunks than workers, each read from a generator positioned by `_stream_at`;
+its whole report must equal the sums of one `_sample_revenues` call per
+chunk on the calling thread, at 1, 2 and 3 workers.  At h = 3000 a bid draw
+is rejected about 9 times per chunk, which moves every later range's start,
+so there each chunk must be redrawn whole.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import pytest
 
 from bivalued_auctions import AUCTION_NAMES, IdentityCheckError, analysis, cli, enumeration
 from bivalued_auctions.auctions import _offer_threshold_by_count, expected_revenue_by_count
-from bivalued_auctions.core import revenue_by_offer_counts, settle
+from bivalued_auctions.core import AuctionParams, BidVector, revenue_by_offer_counts, settle
 from bivalued_auctions.rng import stream_generator
 
 
@@ -104,6 +110,22 @@ def test_demo_dop_prints_the_scalar_run(monkeypatch, capsys):
     assert row[4:8] == ["3", "9", "8", "1"]  # n_h, opt, revenue, loss
 
 
+def test_identity_check_builds_the_weights_once():
+    analysis._count_weights.cache_clear()
+    analysis.check_distribution_identities(20, 4)
+    info = analysis._count_weights.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_demo_dop_reads_n_and_n_h_from_the_demo_vector(monkeypatch, capsys):
+    # a demo vector with 3 of 6 bids high, where DOP's ratio is 2
+    vector = BidVector(AuctionParams(6, 3), 0b111000)
+    monkeypatch.setattr(analysis, "_dop_demo", lambda h, n: (vector, Fraction(2)))
+    assert cli.main(["demo-dop", "--h", "3"]) == 0
+    row = capsys.readouterr().out.splitlines()[1].split(",")
+    assert row[1:2] + row[4:8] == ["6", "3", "6", "3", "3"]  # n, n_h, opt, revenue, loss
+
+
 def _weighted_total(n: int, h: int, revenues):
     """Sum over high counts k of C(n, k) (h-1)**(n-k) rev(k): n * h**n for
     every bid-independent auction with offers in {1, h}."""
@@ -169,3 +191,100 @@ def test_random_draws_reach_offer_probability_one():
     k = high.sum(axis=1)
     assert ((k >= 2) & (k < n)).any()
 
+
+
+@pytest.mark.parametrize("word", [0, 1, 2, 3, 4, 5, 1_000_003])
+def test_stream_at_continues_the_raw_stream(word):
+    fresh = stream_generator(7, 3)
+    for lo in range(0, word, 1 << 18):  # at most 2 MB of raw words at once
+        fresh.bit_generator.random_raw(min(1 << 18, word - lo))
+    placed = analysis._stream_at(7, 3, word)
+    assert analysis._half_words_drawn(placed) == 2 * word
+    assert placed.bit_generator.random_raw(9).tolist() == fresh.bit_generator.random_raw(9).tolist()
+    # an odd number of 32-bit draws leaves the upper half of a word buffered
+    placed.integers(0, 2, size=7, dtype=np.int32)
+    assert analysis._half_words_drawn(placed) == 2 * (word + 9) + 7
+
+
+def sequential_report(n, h, auction, samples, seed):
+    """monte_carlo_under_d with one _sample_revenues call per chunk, in
+    order, on the calling thread."""
+    total = total_sq = opt_total = opt_sq = 0
+    for stream, lo in enumerate(range(0, samples, analysis._MC_CHUNK)):
+        rows = min(analysis._MC_CHUNK, samples - lo)
+        revenue, opt = analysis._sample_revenues(stream_generator(seed, stream), n, h, auction, rows)
+        total += int(revenue.sum())
+        total_sq += int(np.dot(revenue, revenue))
+        opt_total += int(opt.sum())
+        opt_sq += int(np.dot(opt, opt))
+    exact = analysis.check_distribution_identities(n, h) if n % h == 0 else (None,) * 3
+    return analysis.DistributionDReport(
+        n, h, auction, samples, seed,
+        *analysis._mean_stderr(total, total_sq, samples),
+        *analysis._mean_stderr(opt_total, opt_sq, samples),
+        *exact,
+    )
+
+
+def _counted_rows(monkeypatch) -> list[int]:
+    """Rows of every _sample_revenues call from here on."""
+    rows_drawn = []
+    sample = analysis._sample_revenues
+
+    def counted(rng, n, h, auction, rows, **keywords):
+        rows_drawn.append(rows)
+        return sample(rng, n, h, auction, rows, **keywords)
+
+    monkeypatch.setattr(analysis, "_sample_revenues", counted)
+    return rows_drawn
+
+
+def _rows_by_threads(monkeypatch, n, h, auction, samples, seed=12) -> dict[int, list[int]]:
+    """Assert the report at 1, 2 and 3 workers (on 4 cores) equals the
+    sequential one; return the rows of each _sample_revenues call, by
+    worker count."""
+    want = sequential_report(n, h, auction, samples, seed)
+    monkeypatch.setattr(analysis.os, "cpu_count", lambda: 4)
+    rows_drawn = _counted_rows(monkeypatch)
+    by_threads = {}
+    for threads in (1, 2, 3):
+        rows_drawn.clear()
+        got = analysis.monte_carlo_under_d(n, h, auction, samples, seed, threads=threads)
+        assert got == want, threads
+        by_threads[threads] = sorted(rows_drawn)
+    return by_threads
+
+
+CUT_POINTS = [
+    (1000, 10, 1 << 14),
+    (5, 2, 1001),  # rows * n is odd
+    (999, 7, 3000),
+    (7, 3, (1 << 14) + 1001),  # a full chunk and a tail chunk, cut at 3 workers
+]
+
+
+@pytest.mark.parametrize(
+    "n,h,samples,auction",
+    [
+        (n, h, samples, auction)
+        for n, h, samples in CUT_POINTS
+        for auction in AUCTION_NAMES
+        if auction != "threshold-dop" or n % h == 0
+    ],
+)
+def test_row_ranges_report_what_whole_chunks_report(monkeypatch, n, h, samples, auction):
+    sizes = [min(analysis._MC_CHUNK, samples - lo) for lo in range(0, samples, analysis._MC_CHUNK)]
+    for threads, rows in _rows_by_threads(monkeypatch, n, h, auction, samples).items():
+        if len(sizes) >= threads:  # no chunk is cut
+            assert rows == sorted(sizes), threads
+        else:  # every chunk is cut, and every row drawn once: none redrawn
+            assert sum(rows) == samples and len(rows) > len(sizes), threads
+
+
+@pytest.mark.parametrize("auction", ["dop", "derand", "random"])
+def test_rejected_draws_redraw_the_chunk(monkeypatch, auction):
+    # (2**32 mod 3000) / 2**32 * 2**14 * 1000 is about 8.8 rejections per chunk
+    by_threads = _rows_by_threads(monkeypatch, 1000, 3000, auction, 1 << 14)
+    for threads in (2, 3):
+        # the ranges, then the whole chunk
+        assert by_threads[threads][-1] == 1 << 14 and sum(by_threads[threads]) == 2 << 14
