@@ -18,7 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm, sqrt
+from math import comb, exp, lcm, sqrt
 from typing import Optional, Union
 
 import numpy as np
@@ -201,11 +201,12 @@ def worst_case_sweep(
     lose the same on every vector with k high bids.  The derandomized
     auction's revenue depends on k and on S, the sum of the high bidders'
     indices, and every S in [k(k+1)/2, k(2n-k+1)/2] occurs, so its worst
-    case is a maximum over at most n**3/6 (k, S) pairs.  The witness is the
-    lexicographically least worst vector.  For the derandomized auction,
-    the greedy lex-least vector of an index sum falls strictly in lex order
-    as the sum grows, so each worst class offers the one at its largest
-    worst sum.
+    case is a maximum over at most n**3/6 (k, S) pairs.  Each class k keeps
+    its worst loss and the largest S that attains it, the top sum when the
+    loss depends on k alone.  The witness is the lexicographically least
+    worst vector: the greedy lex-least vector of an index sum falls strictly
+    in lex order as the sum grows, so each worst class offers the one at its
+    largest worst sum, and the least of those wins.
 
     `limit` caps n; `threads` is accepted for callers that pass it and has
     no effect, since the sweep does no chunked work.
@@ -217,13 +218,11 @@ def worst_case_sweep(
     worst_sum: dict[int, int] = {}
     for k in range(n + 1):
         opt = max(n, h * k)
-        if auction == "random":
-            per_nh[k] = SurdSum.of(opt) - expected_revenue_by_count(n, h, k)
-        elif auction == "derand":
+        top = k * (2 * n - k + 1) // 2
+        if auction == "derand":
             # the revenue is periodic in S with period lcm(B(k), B(k-1)), so
             # the top period of the S range holds the maximum and the
             # largest S attaining it
-            top = k * (2 * n - k + 1) // 2
             moduli = enumeration.derand_classes(n, h)[0]
             period = lcm(int(moduli[k]), int(moduli[max(k - 1, 0)]))
             lowest = max(k * (k + 1) // 2, top + 1 - period)
@@ -235,19 +234,17 @@ def worst_case_sweep(
                     per_nh[k] = worst
                     worst_sum[k] = start + int(np.flatnonzero(losses == worst)[-1])
         else:
-            t = enumeration.count_threshold(auction, n, h)
-            per_nh[k] = opt - int(enumeration.count_revenues(k, n, h, t))
-    worst_k = max(per_nh, key=per_nh.__getitem__)  # ties keep the smaller count
-    global_worst = per_nh[worst_k]
-    if auction == "derand":
-        witness = min(
-            (_lex_least(params, k, worst_sum[k]) for k in per_nh if per_nh[k] == global_worst),
-            key=lambda b: b.bids,
-        )
-    else:
-        # L^(n-k) H^k, the lex-least vector of its class, and lex-smaller
-        # than that of any larger count
-        witness = BidVector(params, ((1 << worst_k) - 1) << (n - worst_k))
+            if auction == "random":
+                revenue = expected_revenue_by_count(n, h, k)
+            else:
+                t = enumeration.count_threshold(auction, n, h)
+                revenue = int(enumeration.count_revenues(k, n, h, t))
+            per_nh[k], worst_sum[k] = opt - revenue, top
+    global_worst = max(per_nh.values())
+    witness = min(
+        (_lex_least(params, k, worst_sum[k]) for k in per_nh if per_nh[k] == global_worst),
+        key=lambda b: b.bids,
+    )
     return LossProfile(
         params, auction, per_nh, global_worst, witness, _normalize(global_worst, n, h)
     )
@@ -745,24 +742,29 @@ def monte_carlo_under_d(
     Chunked into fixed-size blocks with one keyed Philox stream each, so the
     estimates are reproducible and independent of worker count.  With fewer
     chunks than workers (_workers), each chunk is cut into
-    ceil(workers / chunks) row ranges of an even size, and every range runs
-    on the pool from generators positioned where the chunk's sequential
-    draw would read it (_stream_at): its bids at half-word lo*n, and the
-    randomized auction's coins at word ceil(rows*n/2) + lo*n.  That holds
-    unless a bid draw was rejected (probability (2**32 mod h) / 2**32 each),
-    so every range's end position is compared with the next one's start
-    and with the coin start; a chunk with any mismatch is redrawn whole on
-    the calling thread.  Every bid-independent auction with offers in
-    {1, h} earns exactly 1 per bidder in expectation here, so the auction
-    mean must sit near n.
+    parts = ceil(workers / chunks) row ranges of an even size, and every
+    range runs on the pool from generators positioned where the chunk's
+    sequential draw would read it (_stream_at): its bids at half-word lo*n,
+    and the randomized auction's coins at word ceil(rows*n/2) + lo*n.  That
+    holds unless a bid draw was rejected (probability (2**32 mod h) / 2**32
+    each), so every range's end position is compared with the next one's
+    start and with the coin start; a chunk with any mismatch is redrawn
+    whole on the calling thread.  A chunk is cut only while the odds of no
+    rejection, exp(-rows*n*(2**32 mod h)/2**32), exceed 1/parts, the point
+    past which the expected redraw outweighs the cut's saving.  Every
+    bid-independent auction with offers in {1, h} earns exactly 1 per
+    bidder in expectation here, so the auction mean must sit near n.
     """
     check_monte_carlo(n, h, auction, samples)
 
     sizes = [min(_MC_CHUNK, samples - lo) for lo in range(0, samples, _MC_CHUNK)]
     parts = -(-_workers(threads) // len(sizes))  # 1 unless chunks < workers
+    rejected = ((1 << 32) % h) / (1 << 32)  # the odds that one bid draw is rejected
     jobs = []
     for stream, rows in enumerate(sizes):
-        step = -(-rows // parts)
+        # a cut saves (1 - 1/parts) of a chunk's time and a rejection costs a
+        # whole redraw, so cut only while exp(-expected rejections) > 1/parts
+        step = -(-rows // parts) if exp(-rows * n * rejected) > 1 / parts else rows
         step += step % 2  # an even step starts every range's bids on a whole word
         jobs += [(stream, lo, min(lo + step, rows)) for lo in range(0, rows, step)]
 

@@ -119,10 +119,9 @@ def random_auction_run(b: BidVector, seed: int) -> OfferSchedule:
     are independent of evaluation order.
     """
     n, h = b.n, b.h
-    nh = count_high(b)
     offers = []
     for i in range(1, n + 1):
-        threshold = _offer_threshold_by_count(n, h, nh - int(b.is_high(i)))
+        threshold = _offer_threshold_by_count(n, h, count_high_excluding(b.mask_bidder(i)))
         offers.append(h if draw_u64(seed, i) < threshold else LOW_VALUE)
     return settle(b, offers)
 
@@ -166,9 +165,8 @@ class DerandState:
 
 def derand_state(b: BidVector, i: int) -> DerandState:
     """Compute the offer-rule state for bidder i from the other bids only."""
-    b._check_index(i)
+    nh_i = count_high_excluding(b.mask_bidder(i))
     n, h = b.n, b.h
-    nh_i = count_high(b) - int(b.is_high(i))
     x = sum(j for j in range(1, n + 1) if j != i and b.is_high(j))
     y = sum(1 for j in range(1, i) if b.is_high(j))
     b_val = derand_modulus(h, nh_i)

@@ -205,7 +205,8 @@ class SurdSum:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (SurdSum, int, Fraction)):
-            return (self - other).is_zero
+            # the normal form is unique, by linear independence
+            return self._terms == SurdSum.of(other)._terms
         return NotImplemented
 
     def __hash__(self) -> int:

@@ -112,6 +112,26 @@ class TestWorstCaseSweep:
             p = AuctionParams(n, h)
             assert worst_case_sweep(p, auction) == analysis.enumerated_sweep(p, auction), n
 
+    @pytest.mark.parametrize("auction", ["dop", "threshold-dop", "random"])
+    def test_tied_worst_classes_take_the_smaller_count(self, monkeypatch, auction):
+        # no count-determined auction ties on the real grid, so revenues are
+        # patched to lose the same at k = 2 and k = 6 and nothing elsewhere
+        def tied_count_revenues(k, n, h, t):
+            k = np.asarray(k)
+            return np.maximum(n, h * k) - 5 * np.isin(k, (2, 6))
+
+        def tied_expected_revenue(n, h, k):
+            return SurdSum.of(max(n, h * k)) - (SurdSum.root(2) if k in (2, 6) else 0)
+
+        monkeypatch.setattr(analysis.enumeration, "count_revenues", tied_count_revenues)
+        monkeypatch.setattr(analysis, "expected_revenue_by_count", tied_expected_revenue)
+        p = AuctionParams(9, 3)
+        profile = worst_case_sweep(p, auction)
+        assert profile == analysis.enumerated_sweep(p, auction)
+        worst = [k for k, loss in profile.per_nh_worst.items() if loss == profile.global_worst]
+        assert worst == [2, 6]
+        assert profile.witness.to_string() == "LLLLLLLHH"
+
     @pytest.mark.parametrize("h", range(2, 10))
     def test_sum_blocks_change_nothing(self, monkeypatch, h):
         monkeypatch.setattr(analysis, "_SUM_BLOCK", 3)

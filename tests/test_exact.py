@@ -141,6 +141,42 @@ class TestSurdSum:
         st.lists(
             st.tuples(st.integers(1, 30), st.fractions(max_denominator=40)),
             max_size=4,
+        ),
+        st.lists(
+            st.tuples(st.integers(1, 30), st.fractions(max_denominator=40)),
+            max_size=2,
+        ),
+        st.sampled_from(["other", "regrouped", "scaled", "rational"]),
+        st.fractions(max_denominator=40),
+    )
+    def test_equality_is_a_zero_difference(self, pairs, more, how, q):
+        # b is built apart from a (radicands 8 and 2 meet, say), or is a
+        # regrouped or rescaled a, or a plain int or Fraction
+        def surd(terms):
+            total = SurdSum.of(0)
+            for radicand, coeff in terms:
+                total = total + SurdSum.multiple(coeff, radicand)
+            return total
+
+        a = surd(pairs)
+        if how == "other":
+            b = surd(more)
+        elif how == "regrouped":
+            b = surd(more) + surd(reversed(pairs)) - surd(more)
+        elif how == "scaled":
+            b = a * q / q if q else a * SurdSum.root(4) / 2
+        else:
+            b = a.as_fraction() if a.is_rational else q
+            b = b.numerator if b.denominator == 1 else b
+        assert (a == b) == (a - b).is_zero
+        assert (b == a) == (a == b)
+        if a == b:
+            assert hash(a) == hash(b)
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(1, 30), st.fractions(max_denominator=40)),
+            max_size=4,
         )
     )
     def test_sign_agrees_with_float(self, pairs):

@@ -6,6 +6,10 @@ E[threshold-DOP] = n reads the count kernel `enumeration.count_revenues`, so
 a wrong kernel breaks `dist-d`; the same identity is held here, in Python
 ints and in surds, for DOP with h not dividing n and for the randomized
 auction.
+The derandomized auction's revenue is a function of k and of the high
+bidders' index sum S, so its identity sums `derand_revenues` over every
+(k, S), weighted by the number of k-subsets with sum S (a subset-sum DP), in
+Python ints to n = 30 and modulo two primes to n = 100.
 `_sample_revenues` draws in fixed-size row blocks, as int32, and settles the
 randomized auction per block; the oracle draws the whole chunk at once as
 int64 and gathers each bidder's threshold.  Both pairs must agree exactly,
@@ -13,15 +17,17 @@ down to the generator's state after the draws.
 `monte_carlo_under_d` cuts its chunks into row ranges when it has fewer
 chunks than workers, each read from a generator positioned by `_stream_at`;
 its whole report must equal the sums of one `_sample_revenues` call per
-chunk on the calling thread, at 1, 2 and 3 workers.  At h = 3000 a bid draw
-is rejected about 9 times per chunk, which moves every later range's start,
-so there each chunk must be redrawn whole.
+chunk on the calling thread, at 1, 2 and 3 workers.  A rejected bid draw
+moves every later range's start, so a cut chunk with one is redrawn whole: at
+h = 100 (about 0.37 rejections per chunk) a chunk is still cut and a pinned
+seed redraws it, and at h = 3000 (about 9) no chunk is cut.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -146,6 +152,51 @@ def test_randomized_auction_earns_n_under_the_hard_distribution(h):
         revenues = [expected_revenue_by_count(n, h, k) for k in range(n + 1)]
         total = _weighted_total(n, h, revenues)
         assert total.is_rational and total.as_fraction() == n * h**n, (n, h)
+
+
+def subset_sum_counts(n: int, modulus: Optional[int] = None) -> np.ndarray:
+    """N[k, S], the number of k-subsets of {1..n} whose elements sum to S,
+    for S = 0..n(n+1)/2: Python ints, or int64 residues mod `modulus`."""
+    counts = np.zeros((n + 1, n * (n + 1) // 2 + 1), dtype=np.int64 if modulus else object)
+    counts[0, 0] = 1
+    for i in range(1, n + 1):
+        # subsets of {1..i} have at most i elements and sum to at most top;
+        # the right side is read before the write, so i joins each subset once
+        top = i * (i + 1) // 2 + 1
+        grown = counts[1 : i + 1, i:top] + counts[:i, : top - i]
+        counts[1 : i + 1, i:top] = grown % modulus if modulus else grown
+    return counts
+
+
+def derand_weighted_total(n: int, h: int, modulus: Optional[int] = None) -> int:
+    """Sum over (k, S) of (h-1)**(n-k) N(k, S) derand_revenues(k, S, n, h),
+    exactly or mod `modulus`: n * h**n if the derandomized auction earns n
+    under the hard distribution."""
+    counts = subset_sum_counts(n, modulus)
+    sums = np.arange(counts.shape[1])
+    total = 0
+    for k, row in enumerate(counts):
+        # N(k, S) = 0 wherever S is no k-subset's sum
+        revenues = enumeration.derand_revenues(k, sums, n, h)
+        inner = row * revenues % modulus if modulus else row * revenues.astype(object)
+        total += int(inner.sum()) * pow(h - 1, n - k, modulus)
+    return total % modulus if modulus else total
+
+
+PRIMES = (2**31 - 1, 2**31 - 19)
+
+
+@pytest.mark.parametrize("h", [2, 3, 5, 10])
+@pytest.mark.parametrize("n", [5, 12, 30])
+def test_derandomized_auction_earns_n_under_the_hard_distribution(n, h):
+    assert derand_weighted_total(n, h) == n * h**n
+
+
+@pytest.mark.parametrize("n,h", [(50, 3), (97, 10), (100, 3), (100, 7)])
+def test_derandomized_auction_earns_n_modulo_two_primes(n, h):
+    # a wrong rule gives a zero residue mod both primes with odds near 2**-62
+    for p in PRIMES:
+        assert derand_weighted_total(n, h, p) == n * pow(h, n, p) % p, p
 
 
 def _block_rows(n: int) -> int:
@@ -282,9 +333,20 @@ def test_row_ranges_report_what_whole_chunks_report(monkeypatch, n, h, samples, 
 
 
 @pytest.mark.parametrize("auction", ["dop", "derand", "random"])
-def test_rejected_draws_redraw_the_chunk(monkeypatch, auction):
-    # (2**32 mod 3000) / 2**32 * 2**14 * 1000 is about 8.8 rejections per chunk
+def test_likely_rejections_leave_the_chunk_whole(monkeypatch, auction):
+    # (2**32 mod 3000) / 2**32 * 2**14 * 1000 is about 8.8 expected
+    # rejections per chunk, so a cut chunk would almost surely be redrawn
     by_threads = _rows_by_threads(monkeypatch, 1000, 3000, auction, 1 << 14)
+    for threads in (2, 3):
+        assert by_threads[threads] == [1 << 14], threads
+
+
+@pytest.mark.parametrize("auction", ["dop", "derand", "random"])
+def test_rejected_draws_redraw_the_chunk(monkeypatch, auction):
+    # (2**32 mod 100) / 2**32 * 2**14 * 1000 is about 0.37 expected
+    # rejections per chunk, so the chunk is still cut; on seed 7 one bid
+    # draw of stream 0 is rejected
+    by_threads = _rows_by_threads(monkeypatch, 1000, 100, auction, 1 << 14, seed=7)
     for threads in (2, 3):
         # the ranges, then the whole chunk
         assert by_threads[threads][-1] == 1 << 14 and sum(by_threads[threads]) == 2 << 14
