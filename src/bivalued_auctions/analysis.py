@@ -417,34 +417,31 @@ def _block_failures(masks: np.ndarray, offered_h: np.ndarray, n: int, h: int) ->
     """Whether the offers `offered_h` (the (n, rows) kernel matrix) break the
     block claim on each mask, by block_structure_check's rule.
 
-    Class 0 holds the low bidders (n_h(i) = k), class 1 the high bidders
-    (n_h(i) = k - 1).  A bidder's block is its 0-based rank in its class, a
-    cumulative sum down the bidders, floor-divided by its class's B; one
-    bincount counts the offers of h per (class, block, mask).
+    One walk down the bidders, every mask at once.  Class 0 holds the low
+    bidders (n_h(i) = k), class 1 the high bidders (n_h(i) = k - 1), and
+    each keeps per mask the bidders `seen` in its open block, its `offers`
+    of h so far and the a+ `owed` for its closed blocks.  When `seen`
+    reaches B the block closes: `offers` must equal `owed`.  After the last
+    bidder, a trailing partial block may not exceed a+.
     """
-    rows = len(masks)
-    high = enumeration.high_matrix(masks, n)
     k = enumeration.popcount(masks)
     moduli, a_plus = enumeration.derand_classes(n, h)
     nh = np.stack([k, np.maximum(k - 1, 0)])
-    b_val, a = moduli[nh][:, None], a_plus[nh][:, None]  # (2, 1, rows)
-    full = np.stack([n - k, k])[:, None] // b_val
-    is_high = high.view(np.int8)
-    # cumulative sum down the bidders, row by row: np.cumsum along axis 0
-    # took 60 times as long
-    highs_so_far = is_high.copy()
-    for prev, row in zip(highs_so_far, highs_so_far[1:]):
-        row += prev
-    rank = np.arange(n, dtype=np.int8)[:, None] - highs_so_far  # lows before a low bidder
-    np.copyto(rank, highs_so_far - 1, where=high)  # highs before a high bidder
-    # rank < n, so a B above n puts the whole class in block 0 either way
-    width = np.minimum(b_val[:, 0], n).astype(np.int8)
-    block = rank // (width[0] + is_high * (width[1] - width[0]))
-    bins = (is_high * np.int8(n) + block).astype(np.int32) * rows + np.arange(rows, dtype=np.int32)
-    counts = np.bincount(bins[offered_h], minlength=2 * n * rows).reshape(2, n, rows)
-    # a block with more than a+ offers, or a full block with fewer
-    bad = (counts > a) | ((counts < a) & (np.arange(n)[:, None] < full))
-    return bad.any(axis=(0, 1))
+    # a class holds at most n <= 31 bidders: a B above n closes no block and
+    # an a+ above n bounds no count, so both clamp to n + 1 and fit in int8
+    b_val, a = (np.minimum(table[nh], n + 1).astype(np.int8) for table in (moduli, a_plus))
+    seen, offers, owed = np.zeros((3, 2, len(masks)), dtype=np.int8)
+    bad = np.zeros(seen.shape, dtype=bool)
+    for is_high, offered in zip(enumeration.high_matrix(masks, n), offered_h):
+        member = np.stack([~is_high, is_high])
+        seen += member
+        offers += member & offered
+        closed = seen == b_val
+        owed += closed * a
+        bad |= closed & (offers != owed)
+        seen *= ~closed
+    bad |= offers > owed + a
+    return bad.any(axis=0)
 
 
 def block_structure_sweep(
@@ -453,9 +450,11 @@ def block_structure_sweep(
     """Check the block claim on every vector, with the offers taken from the
     vector kernel; (count checked, first failure).
 
-    Each mask range is checked at once (`_block_failures`).  On the first
-    failing mask, `block_structure_check` runs on that one vector, with the
-    kernel's offers, to build the violation; it is also the tests' oracle.
+    Each mask range is checked by one walk down its bidders
+    (`_block_failures`), with the offers from `enumeration.offers_for_bidder`.
+    On the first failing mask, `block_structure_check` runs on that one
+    vector, with the kernel's offers, to build the violation; it is also the
+    tests' oracle.
     """
     n, h = params.n, params.h
     check_block_sweep(params, limit)
@@ -499,10 +498,8 @@ def bid_independence_violations(
     where the whole sweep held n * 2**n before.
     """
     n, h = params.n, params.h
-    require_auction(auction)
+    _check_sweep_args(params, auction)
     _require_enumerable(n, limit)
-    if auction != "random":
-        _require_kernel_domain(n, h)
     first: dict[int, int] = {}
     waiting: dict[tuple[int, int], np.ndarray] = {}
     for lo, hi in _mask_ranges(n):

@@ -19,6 +19,7 @@ from .core import (
     OfferSchedule,
     count_high,
     count_high_excluding,
+    revenue_by_offer_counts,
     settle,
 )
 from .exact import SurdSum, bernoulli_threshold, ceil_scaled_sqrt
@@ -92,14 +93,13 @@ def expected_revenue_by_count(n: int, h: int, n_high: int) -> SurdSum:
     """Exact expected revenue of the randomized auction on any vector with
     n_high high bids.
 
-    By linearity every bidder pays 1, less 1 for each low bidder offered h
-    (probability p(n_high)), plus h - 1 for each high bidder offered h
-    (probability p(n_high - 1)).
+    By linearity it is the pay-by-counts revenue of the expected counts
+    offered h: each low bidder with probability p(n_high), each high bidder
+    with probability p(n_high - 1).
     """
-    total = n - (n - n_high) * offer_probability_by_count(n, h, n_high)
-    if n_high > 0:
-        total = total + (h - 1) * n_high * offer_probability_by_count(n, h, n_high - 1)
-    return total
+    low = (n - n_high) * offer_probability_by_count(n, h, n_high)
+    high = n_high * offer_probability_by_count(n, h, max(n_high - 1, 0))
+    return revenue_by_offer_counts(n, h, low, high)
 
 
 def random_auction_exact_expectation(b: BidVector) -> SurdSum:

@@ -149,7 +149,9 @@ class SurdSum:
         return SurdSum.of(other) + (-self)
 
     def __mul__(self, other: ExactLike) -> "SurdSum":
-        other = SurdSum.of(other)
+        if not isinstance(other, SurdSum):  # a rational scales each coefficient
+            q = Fraction(other)
+            return SurdSum(tuple((r, c * q) for r, c in self._terms) if q else ())
         acc: dict[int, Fraction] = {}
         for r1, c1 in self._terms:
             for r2, c2 in other._terms:

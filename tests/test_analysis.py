@@ -408,6 +408,35 @@ class TestVectorBlockCheck:
         assert failures > 500 if flipped else failures == 0
 
 
+class TestVectorBlockCheckSampled:
+    """The vectorized block check against block_structure_check on 2000
+    seeded masks per point above the exhaustive range: at h = 2 a class
+    holds many full blocks, at h = 7 mostly one partial block."""
+
+    @pytest.mark.parametrize("n", [20, 30])
+    @pytest.mark.parametrize("h", [2, 3, 7])
+    @pytest.mark.parametrize("flipped", [False, True], ids=["clean", "flipped"])
+    def test_sampled_masks_match_the_scalar_check(self, n, h, flipped):
+        rng = np.random.default_rng([n, h])
+        masks = rng.integers(0, 1 << n, size=2000, dtype=np.int64)
+        offered_h = analysis.enumeration.offers_for_bidder(masks, n, h, "derand")
+        if flipped:
+            offered_h ^= rng.random(offered_h.shape) < 0.02
+        p = AuctionParams(n, h)
+        want = [
+            not analysis.block_structure_check(
+                BidVector(p, int(mask)), offers=tuple(np.where(column, h, 1).tolist())
+            ).ok
+            for mask, column in zip(masks, offered_h.T)
+        ]
+        got = analysis._block_failures(masks, offered_h, n, h)
+        assert got.tolist() == want
+        if not flipped:
+            assert sum(want) == 0
+        elif h in (2, 3):
+            assert sum(want) > 0
+
+
 class TestPoolWidth:
     def widths(self, monkeypatch, threads) -> list[int]:
         """max_workers of every pool one Monte Carlo run over cores + 2 chunks

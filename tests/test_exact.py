@@ -177,6 +177,20 @@ class TestSurdSum:
         st.lists(
             st.tuples(st.integers(1, 30), st.fractions(max_denominator=40)),
             max_size=4,
+        ),
+        st.one_of(st.integers(-50, 50), st.fractions(max_denominator=40)),
+    )
+    def test_rational_product_matches_the_surd_product(self, pairs, q):
+        a = SurdSum.of(0)
+        for radicand, coeff in pairs:
+            a = a + SurdSum.multiple(coeff, radicand)
+        want = a * SurdSum.of(q)  # the term-by-term product of two surd sums
+        assert (a * q).terms == (q * a).terms == want.terms
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(1, 30), st.fractions(max_denominator=40)),
+            max_size=4,
         )
     )
     def test_sign_agrees_with_float(self, pairs):

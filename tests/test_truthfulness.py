@@ -40,6 +40,16 @@ def test_unknown_auction():
         bid_independence_violations(AuctionParams(4, 2), "second-price")
 
 
+def test_domain_rejects_before_any_enumeration(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(analysis, "_mask_ranges", forbidden)
+    monkeypatch.setattr(enumeration, "mask_array", forbidden)
+    with pytest.raises(ValueError, match="^n=7 must be divisible by h=2$"):
+        bid_independence_violations(AuctionParams(7, 2), "threshold-dop", limit=7)
+
+
 @pytest.mark.parametrize("n,h", [(8, 2), (9, 3)])
 def test_probability_route_flip_invariant(n, h):
     # the vectorized sweep reasons through the count statistic; this walks the
