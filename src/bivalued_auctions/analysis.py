@@ -256,12 +256,12 @@ def worst_case_sweep(
 
 
 def _sweep_chunk(losses_of, n: int, lo: int, hi: int):
-    masks = enumeration.mask_array(lo, hi)
-    losses = losses_of(masks)
+    high = enumeration.high_matrix(enumeration.mask_array(lo, hi), n)
+    losses = losses_of(high)
     per_k = np.full(n + 1, _NEG_INF, dtype=np.int64)
-    np.maximum.at(per_k, enumeration.popcount(masks), losses)
+    np.maximum.at(per_k, high.sum(axis=0, dtype=np.int8), losses)
     worst = int(losses.max())
-    at_worst = masks[losses == worst]
+    at_worst = lo + np.flatnonzero(losses == worst)
     keys = enumeration.lex_keys(at_worst, n)
     j = int(np.argmin(keys))
     return per_k, worst, int(keys[j]), int(at_worst[j])
@@ -270,7 +270,7 @@ def _sweep_chunk(losses_of, n: int, lo: int, hi: int):
 def enumerated_sweep(params: AuctionParams, auction: str) -> LossProfile:
     """worst_case_sweep by enumerating all 2**n bid vectors.
 
-    Deterministic auctions take each vector's revenue from the mask kernels;
+    Deterministic auctions take each vector's revenue from the kernels;
     the randomized auction's exact per-count losses are replaced by their
     ranks, so the same int64 reduction finds its maximum and lex-least
     witness.  Mask ranges are reduced in a fixed order, so the result does
@@ -286,16 +286,16 @@ def enumerated_sweep(params: AuctionParams, auction: str) -> LossProfile:
         levels = sorted(set(exact))
         rank = np.array([levels.index(loss) for loss in exact], dtype=np.int64)
 
-        def losses_of(masks):
-            return rank[enumeration.popcount(masks)]
+        def losses_of(high):
+            return rank[high.sum(axis=0, dtype=np.int8)]
 
         def value(level) -> Loss:
             return levels[level]
     else:
         kernel = enumeration.REVENUE_KERNELS[auction]
 
-        def losses_of(masks):
-            return np.maximum(n, h * enumeration.popcount(masks)) - kernel(masks, n, h)
+        def losses_of(high):
+            return np.maximum(n, h * high.sum(axis=0)) - kernel(high, h)
 
         value = int
 
@@ -413,26 +413,28 @@ def check_block_sweep(params: AuctionParams, limit: int) -> None:
     _require_kernel_domain(params.n, params.h)
 
 
-def _block_failures(masks: np.ndarray, offered_h: np.ndarray, n: int, h: int) -> np.ndarray:
-    """Whether the offers `offered_h` (the (n, rows) kernel matrix) break the
-    block claim on each mask, by block_structure_check's rule.
+def _block_failures(high: np.ndarray, offered_h: np.ndarray, h: int) -> np.ndarray:
+    """Whether the offers `offered_h` (the kernel matrix, shaped like the
+    bid matrix high) break the block claim on each column of high, by
+    block_structure_check's rule.
 
-    One walk down the bidders, every mask at once.  Class 0 holds the low
+    One walk down the bidders, every column at once.  Class 0 holds the low
     bidders (n_h(i) = k), class 1 the high bidders (n_h(i) = k - 1), and
-    each keeps per mask the bidders `seen` in its open block, its `offers`
+    each keeps per column the bidders `seen` in its open block, its `offers`
     of h so far and the a+ `owed` for its closed blocks.  When `seen`
     reaches B the block closes: `offers` must equal `owed`.  After the last
     bidder, a trailing partial block may not exceed a+.
     """
-    k = enumeration.popcount(masks)
+    n = len(high)
+    k = high.sum(axis=0, dtype=np.int8)
     moduli, a_plus = enumeration.derand_classes(n, h)
     nh = np.stack([k, np.maximum(k - 1, 0)])
     # a class holds at most n <= 31 bidders: a B above n closes no block and
     # an a+ above n bounds no count, so both clamp to n + 1 and fit in int8
     b_val, a = (np.minimum(table[nh], n + 1).astype(np.int8) for table in (moduli, a_plus))
-    seen, offers, owed = np.zeros((3, 2, len(masks)), dtype=np.int8)
+    seen, offers, owed = np.zeros((3, 2, high.shape[1]), dtype=np.int8)
     bad = np.zeros(seen.shape, dtype=bool)
-    for is_high, offered in zip(enumeration.high_matrix(masks, n), offered_h):
+    for is_high, offered in zip(high, offered_h):
         member = np.stack([~is_high, is_high])
         seen += member
         offers += member & offered
@@ -450,8 +452,9 @@ def block_structure_sweep(
     """Check the block claim on every vector, with the offers taken from the
     vector kernel; (count checked, first failure).
 
-    Each mask range is checked by one walk down its bidders
-    (`_block_failures`), with the offers from `enumeration.offers_for_bidder`.
+    Each mask range's bid matrix is built once and checked by one walk down
+    its bidders (`_block_failures`), with the offers from
+    `enumeration.offers_for_bidder` on the same matrix.
     On the first failing mask, `block_structure_check` runs on that one
     vector, with the kernel's offers, to build the violation; it is also the
     tests' oracle.
@@ -459,9 +462,9 @@ def block_structure_sweep(
     n, h = params.n, params.h
     check_block_sweep(params, limit)
     for lo, hi in _mask_ranges(n):
-        masks = enumeration.mask_array(lo, hi)
-        offered_h = enumeration.offers_for_bidder(masks, n, h, "derand")
-        failing = np.flatnonzero(_block_failures(masks, offered_h, n, h))
+        high = enumeration.high_matrix(enumeration.mask_array(lo, hi), n)
+        offered_h = enumeration.offers_for_bidder(high, h, "derand")
+        failing = np.flatnonzero(_block_failures(high, offered_h, h))
         if failing.size:
             col = failing[0]
             b = BidVector(params, lo + int(col))
@@ -494,8 +497,8 @@ def bid_independence_violations(
     compared inside each range, and one whose bit is above it keeps its row
     from a range with the bit clear until the partner range lo | bit arrives.
     So at most about 2**n bytes wait at once (offer bools, or the randomized
-    auction's int8 counts), beside one range's (n, rows) kernel output,
-    where the whole sweep held n * 2**n before.
+    auction's int8 counts), beside one range's (n, rows) bid matrix and
+    kernel output, where the whole sweep held n * 2**n before.
     """
     n, h = params.n, params.h
     _check_sweep_args(params, auction)
@@ -503,7 +506,10 @@ def bid_independence_violations(
     first: dict[int, int] = {}
     waiting: dict[tuple[int, int], np.ndarray] = {}
     for lo, hi in _mask_ranges(n):
-        rows = enumeration.offers_for_bidder(enumeration.mask_array(lo, hi), n, h, auction)
+        # the bid matrix is a temporary, so the next range's can reuse its memory
+        rows = enumeration.offers_for_bidder(
+            enumeration.high_matrix(enumeration.mask_array(lo, hi), n), h, auction
+        )
         for i, field in enumerate(rows, start=1):
             if i in first:
                 continue

@@ -5,22 +5,32 @@ The kernels here apply the same rules to many bid vectors at once.  The
 sweeps, Monte Carlo and the truthfulness and block checks all call them, and
 the test suite holds them equal to the scalar rules.
 
+Every kernel reads one input, `high`: a bidder-major (n, rows) boolean
+matrix whose row i-1 says, per column, whether bidder i bids high.  n is
+len(high) and the high counts k are high.sum(axis=0).  The kernels are
+`seen_high_counts(high)`, `high_index_sum(high)`, `derand_offers(high, h)`,
+`offers_for_bidder(high, h, auction)` and `REVENUE_KERNELS[auction](high, h)`.
+Masks (bit i-1 set <=> bidder i bids high) stay where vectors are
+enumerated or ordered: `mask_array` lists a range of them, `high_matrix`
+turns them into the kernels' input, and `lex_keys` orders them.  Monte
+Carlo passes its sample-major (rows, n) draw matrix as `draw.T`, which
+every kernel reads in place.
+
 - Every auction here reads n_h(i), the high bids bidder i sees among the
-  others; `seen_high_counts` is its int8 (n, rows) vector form.  The
-  randomized auction's offer distribution is a function of it alone.
+  others; `seen_high_counts` is its int8 (n, rows) vector form, so it
+  rejects more than 127 bidders.  The randomized auction's offer
+  distribution is a function of it alone.
 - DOP and threshold-DOP offer h iff n_h(i) >= t for a count threshold t
   (`count_threshold`), so their revenue is a function of the high count k
   alone (`count_revenues`).
 - The derandomized rule offers h iff z mod B(n_h(i)) < a+(n_h(i)), with
   the class table (B, a+) built once per (n, h) by `derand_classes` and the
   test written once, as the window count `_window_offers`.  Its offers
-  depend on the bids themselves: `derand_offers` walks a bidder-major
-  (n, rows) boolean high matrix once, and each bidder's offers are one
-  gather from a per-call boolean table of the window rule, indexed by high
-  count and hash value.  Its revenue, though, depends only on k and on S,
-  the sum of the high bidders' indices (`derand_revenues`).
-
-A mask encodes one bid vector (bit i-1 set <=> bidder i bids high).
+  depend on the bids themselves: `derand_offers` walks `high` once, and
+  each bidder's offers are one gather from a per-call boolean table of the
+  window rule, indexed by high count and hash value.  Its revenue, though,
+  depends only on k and on S, the sum of the high bidders' indices
+  (`derand_revenues`).
 """
 
 from __future__ import annotations
@@ -44,10 +54,6 @@ def mask_array(lo: int, hi: int) -> np.ndarray:
     return np.arange(lo, hi, dtype=np.int64)
 
 
-def popcount(masks: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(masks.astype(np.uint64)).astype(np.int64)
-
-
 def high_matrix(masks: np.ndarray, n: int) -> np.ndarray:
     """Bidder-major bids: row i-1 says, per mask, whether bidder i bids high."""
     if n > 31:  # the int32 copy below holds every mask of at most 31 bidders
@@ -59,19 +65,17 @@ def high_matrix(masks: np.ndarray, n: int) -> np.ndarray:
     return high
 
 
-def seen_high_counts(masks: np.ndarray, n: int) -> np.ndarray:
+def seen_high_counts(high: np.ndarray) -> np.ndarray:
     """n_h(i), the high bids that bidder i sees among the others, as an int8
-    (n, len(masks)) matrix whose row i-1 belongs to bidder i; a mask has at
-    most 63 bits, so int8 holds every count."""
-    return popcount(masks).astype(np.int8) - high_matrix(masks, n).view(np.int8)
+    matrix shaped like high; int8 holds every count of at most 127 bidders."""
+    if len(high) > 127:
+        raise ValueError(f"n={len(high)} exceeds the int8 count limit 127")
+    return high.sum(axis=0, dtype=np.int8) - high.view(np.int8)
 
 
 def high_index_sum(high: np.ndarray) -> np.ndarray:
     """Sum of the 1-based indices of the high bidders, per column of high."""
-    total = np.zeros(high.shape[1], dtype=np.int64)
-    for i, bit in enumerate(high, start=1):
-        total += i * bit
-    return total
+    return np.einsum("ij,i->j", high, np.arange(1, len(high) + 1, dtype=np.int64))
 
 
 def lex_keys(masks: np.ndarray, n: int) -> np.ndarray:
@@ -174,27 +178,24 @@ def derand_revenues(k, index_sum, n: int, h: int) -> np.ndarray:
 
 
 def _count_kernel(auction: str):
-    def revenues(masks: np.ndarray, n: int, h: int) -> np.ndarray:
-        return count_revenues(popcount(masks), n, h, count_threshold(auction, n, h))
-
-    return revenues
+    return lambda high, h: count_revenues(
+        high.sum(axis=0), len(high), h, count_threshold(auction, len(high), h)
+    )
 
 
 REVENUE_KERNELS = {
     "dop": _count_kernel("dop"),
     "threshold-dop": _count_kernel("threshold-dop"),
-    "derand": lambda masks, n, h: derand_revenues(
-        popcount(masks), high_index_sum(high_matrix(masks, n)), n, h
-    ),
+    "derand": lambda high, h: derand_revenues(high.sum(axis=0), high_index_sum(high), len(high), h),
 }
 
 
-def offers_for_bidder(masks: np.ndarray, n: int, h: int, auction: str) -> np.ndarray:
-    """What fixes each bidder's offer on every mask: an (n, len(masks))
-    matrix whose row i-1 belongs to bidder i.  It says whether a
-    deterministic auction offers h; for "random" it is n_h(i) itself, which
-    fixes the randomized auction's offer distribution."""
+def offers_for_bidder(high: np.ndarray, h: int, auction: str) -> np.ndarray:
+    """What fixes each bidder's offer on every column of high: a matrix
+    shaped like high.  It says whether a deterministic auction offers h; for
+    "random" it is n_h(i) itself, which fixes the randomized auction's offer
+    distribution."""
     if auction == "derand":
-        return derand_offers(high_matrix(masks, n), h)
-    seen = seen_high_counts(masks, n)
-    return seen if auction == "random" else seen >= count_threshold(auction, n, h)
+        return derand_offers(high, h)
+    seen = seen_high_counts(high)
+    return seen if auction == "random" else seen >= count_threshold(auction, len(high), h)

@@ -309,11 +309,16 @@ class TestBlockSweep:
 
     def test_kernel_flag_that_the_scalar_check_clears_is_an_identity_error(self, monkeypatch):
         # the vector check flags mask 5, which block_structure_check passes
-        monkeypatch.setattr(analysis, "_block_failures", lambda masks, *_: masks == 5)
+        monkeypatch.setattr(analysis, "_block_failures", lambda high, *_: _masks_of(high) == 5)
         with pytest.raises(IdentityCheckError) as info:
             block_structure_sweep(AuctionParams(6, 2))
         assert info.value.invariant == "derand-block-kernel-agrees-with-scalar-check"
         assert str(info.value).endswith("(HLHLLL)")
+
+
+def _masks_of(high: np.ndarray) -> np.ndarray:
+    """The mask of each column of a bidder-major bid matrix."""
+    return (1 << np.arange(len(high))) @ high
 
 
 class TestMultipleMaskRanges:
@@ -334,9 +339,9 @@ class TestMultipleMaskRanges:
         # bidder 1's offer on the vector with mask `target` is flipped
         offers_for_bidder = analysis.enumeration.offers_for_bidder
 
-        def flipped(masks, n, h, auction):
-            offered_h = offers_for_bidder(masks, n, h, auction)
-            offered_h[0, masks == target] ^= True
+        def flipped(high, h, auction):
+            offered_h = offers_for_bidder(high, h, auction)
+            offered_h[0, _masks_of(high) == target] ^= True
             return offered_h
 
         monkeypatch.setattr(analysis.enumeration, "offers_for_bidder", flipped)
@@ -345,6 +350,25 @@ class TestMultipleMaskRanges:
         monkeypatch.setattr(analysis, "_MASK_RANGE", 1 << 3)
         assert block_structure_sweep(p) == one
         assert one[0] == target + 1 and one[1][0].mask == target
+
+    def test_one_bid_matrix_per_mask_range(self, monkeypatch):
+        monkeypatch.setattr(analysis, "_MASK_RANGE", 1 << 3)
+        high_matrix = analysis.enumeration.high_matrix
+        calls = []
+
+        def counted(masks, n):
+            calls.append(len(masks))
+            return high_matrix(masks, n)
+
+        monkeypatch.setattr(analysis.enumeration, "high_matrix", counted)
+        p = AuctionParams(10, 2)
+        ranges = len(analysis._mask_ranges(10))
+        assert block_structure_sweep(p) == (1 << 10, None)
+        assert len(calls) == ranges
+        for auction in analysis.AUCTION_NAMES:
+            calls.clear()
+            assert bid_independence_violations(p, auction) == []
+            assert len(calls) == ranges, auction
 
 
 def _scalar_checks(p: AuctionParams, lo: int, offered_h: np.ndarray) -> list:
@@ -361,8 +385,8 @@ def _scalar_checks(p: AuctionParams, lo: int, offered_h: np.ndarray) -> list:
 def _scalar_block_sweep(p: AuctionParams):
     """The per-vector loop that block_structure_sweep replaced."""
     for lo, hi in analysis._mask_ranges(p.n):
-        masks = analysis.enumeration.mask_array(lo, hi)
-        offered_h = analysis.enumeration.offers_for_bidder(masks, p.n, p.h, "derand")
+        high = analysis.enumeration.high_matrix(analysis.enumeration.mask_array(lo, hi), p.n)
+        offered_h = analysis.enumeration.offers_for_bidder(high, p.h, "derand")
         for mask, result in enumerate(_scalar_checks(p, lo, offered_h), start=lo):
             if not result.ok:
                 return mask + 1, (BidVector(p, mask), result.violation)
@@ -378,9 +402,9 @@ class TestVectorBlockCheck:
         if request.param:
             offers_for_bidder = analysis.enumeration.offers_for_bidder
 
-            def flip(masks, n, h, auction):
-                offered_h = offers_for_bidder(masks, n, h, auction)
-                rng = np.random.default_rng([n, h, int(masks[0])])
+            def flip(high, h, auction):
+                offered_h = offers_for_bidder(high, h, auction)
+                rng = np.random.default_rng([len(high), h, int(_masks_of(high)[0])])
                 return offered_h ^ (rng.random(offered_h.shape) < 0.02)
 
             monkeypatch.setattr(analysis.enumeration, "offers_for_bidder", flip)
@@ -399,9 +423,10 @@ class TestVectorBlockCheck:
         for n in range(1, 11):
             for h in range(2, 7):
                 masks = analysis.enumeration.mask_array(0, 1 << n)
-                offered_h = analysis.enumeration.offers_for_bidder(masks, n, h, "derand")
+                high = analysis.enumeration.high_matrix(masks, n)
+                offered_h = analysis.enumeration.offers_for_bidder(high, h, "derand")
                 want = [not r.ok for r in _scalar_checks(AuctionParams(n, h), 0, offered_h)]
-                got = analysis._block_failures(masks, offered_h, n, h)
+                got = analysis._block_failures(high, offered_h, h)
                 assert got.tolist() == want, (n, h)
                 failures += sum(want)
         # the flips break the claim on 584 of the 10230 vectors
@@ -419,7 +444,8 @@ class TestVectorBlockCheckSampled:
     def test_sampled_masks_match_the_scalar_check(self, n, h, flipped):
         rng = np.random.default_rng([n, h])
         masks = rng.integers(0, 1 << n, size=2000, dtype=np.int64)
-        offered_h = analysis.enumeration.offers_for_bidder(masks, n, h, "derand")
+        high = analysis.enumeration.high_matrix(masks, n)
+        offered_h = analysis.enumeration.offers_for_bidder(high, h, "derand")
         if flipped:
             offered_h ^= rng.random(offered_h.shape) < 0.02
         p = AuctionParams(n, h)
@@ -429,7 +455,7 @@ class TestVectorBlockCheckSampled:
             ).ok
             for mask, column in zip(masks, offered_h.T)
         ]
-        got = analysis._block_failures(masks, offered_h, n, h)
+        got = analysis._block_failures(high, offered_h, h)
         assert got.tolist() == want
         if not flipped:
             assert sum(want) == 0

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from bivalued_auctions import analysis, cli
@@ -241,7 +242,9 @@ class TestExitCodes:
 
     def test_block_kernel_disagreement_is_two(self, capsys, monkeypatch):
         # the vector check flags mask 5, which block_structure_check passes
-        monkeypatch.setattr(analysis, "_block_failures", lambda masks, *_: masks == 5)
+        monkeypatch.setattr(
+            analysis, "_block_failures", lambda high, *_: (1 << np.arange(len(high))) @ high == 5
+        )
         code, out, err = run_cli(capsys, "block-check", "--n", "6", "--h", "2")
         assert code == 2 and out == ""
         assert err == (

@@ -32,7 +32,7 @@ from bivalued_auctions.enumeration import (
     lex_keys,
     mask_array,
     offers_for_bidder,
-    popcount,
+    seen_high_counts,
 )
 from bivalued_auctions.rng import stream_generator
 
@@ -47,12 +47,6 @@ def test_mask_array_range():
     assert list(arr) == [3, 4, 5, 6, 7, 8]
 
 
-def test_popcount_matches_python():
-    masks = mask_array(0, 1 << 10)
-    want = np.array([int(m).bit_count() for m in masks])
-    assert np.array_equal(popcount(masks), want)
-
-
 def test_high_matrix_is_bidder_major():
     n = 5
     masks = mask_array(0, 1 << n)
@@ -62,13 +56,32 @@ def test_high_matrix_is_bidder_major():
         assert list(high[:, mask]) == [bool(mask >> (i - 1) & 1) for i in range(1, n + 1)]
 
 
+def _python_index_sums(high) -> list[int]:
+    return [sum(i for i, bit in enumerate(column, start=1) if bit) for column in high.T.tolist()]
+
+
 def test_high_index_sum_matches_python():
     n = 9
-    masks = mask_array(0, 1 << n)
-    want = np.array(
-        [sum(i for i in range(1, n + 1) if m >> (i - 1) & 1) for m in map(int, masks)]
-    )
-    assert np.array_equal(high_index_sum(high_matrix(masks, n)), want)
+    high = high_matrix(mask_array(0, 1 << n), n)
+    assert high_index_sum(high).tolist() == _python_index_sums(high)
+    # Monte Carlo's sample-major (rows, n) draw, read in place as draw.T, and
+    # a non-contiguous slice of that matrix's columns
+    rng = np.random.default_rng(3)
+    for n in (1, 31, 64):
+        draw = rng.random((50, n)) < 0.3
+        for high in (draw.T, draw.T[:, ::3]):
+            assert high_index_sum(high).tolist() == _python_index_sums(high), n
+
+
+def test_seen_high_counts_hold_127_bidders_in_int8():
+    high = np.ones((127, 2), dtype=bool)
+    high[5, 1] = False
+    seen = seen_high_counts(high)
+    assert seen.dtype == np.int8
+    want = [[sum(column) - bit for bit in column] for column in high.T.tolist()]
+    assert seen.T.tolist() == want
+    with pytest.raises(ValueError, match="int8 count limit 127"):
+        seen_high_counts(np.ones((128, 1), dtype=bool))
 
 
 def test_lex_keys_sort_like_bid_tuples():
@@ -87,7 +100,7 @@ def test_kernels_match_scalar_run(auction, n, h):
         pytest.skip("needs h | n")
     p = AuctionParams(n, h)
     masks = mask_array(0, 1 << n)
-    revenues = REVENUE_KERNELS[auction](masks, n, h)
+    revenues = REVENUE_KERNELS[auction](high_matrix(masks, n), h)
     for mask in range(1 << n):
         assert revenues[mask] == run_auction(BidVector(p, mask), auction).revenue
 
@@ -96,7 +109,7 @@ def test_kernels_match_scalar_run(auction, n, h):
 def test_offers_for_bidder_match_scalar(auction):
     n, h = 8, 2
     p = AuctionParams(n, h)
-    offered_h = offers_for_bidder(mask_array(0, 1 << n), n, h, auction)
+    offered_h = offers_for_bidder(high_matrix(mask_array(0, 1 << n), n), h, auction)
     assert offered_h.shape == (n, 1 << n)
     for mask in range(1 << n):
         want = run_auction(BidVector(p, mask), auction).offers
@@ -128,9 +141,9 @@ def kernel_cases(draw):
 def test_kernels_match_scalar_rules(case):
     auction, n, h, masks = case
     p = AuctionParams(n, h)
-    arr = np.array(masks, dtype=np.int64)
-    offered_h = offers_for_bidder(arr, n, h, auction)
-    revenues = REVENUE_KERNELS[auction](arr, n, h)
+    high = high_matrix(np.array(masks, dtype=np.int64), n)
+    offered_h = offers_for_bidder(high, h, auction)
+    revenues = REVENUE_KERNELS[auction](high, h)
     # the Monte Carlo shape: one (rows, n) draw, k as its row sums
     draw = np.array([[bool(m >> (i - 1) & 1) for i in range(1, n + 1)] for m in masks])
     if auction == "derand":
@@ -216,9 +229,9 @@ def test_derand_table_gather_matches_oracle_on_every_mask(monkeypatch, h):
     # None stands for the largest h of the kernel domain, KERNEL_HN_LIMIT // n
     for n in range(1, 13):
         top = h or KERNEL_HN_LIMIT // n
-        masks = mask_array(0, 1 << n)
-        want = _oracle_derand_offers(high_matrix(masks, n), top, monkeypatch)
-        assert np.array_equal(offers_for_bidder(masks, n, top, "derand"), want), (n, top)
+        high = high_matrix(mask_array(0, 1 << n), n)
+        want = _oracle_derand_offers(high, top, monkeypatch)
+        assert np.array_equal(offers_for_bidder(high, top, "derand"), want), (n, top)
 
 
 @pytest.mark.parametrize("n", [30, 64])
@@ -258,7 +271,7 @@ def test_derand_classes_match_the_scalar_modulus_and_clamp(n, h):
 
 def _assert_random_rows_are_seen_counts(n: int, masks) -> None:
     p = AuctionParams(n, 2)
-    seen = offers_for_bidder(np.array(masks, dtype=np.int64), n, 2, "random")
+    seen = offers_for_bidder(high_matrix(np.array(masks, dtype=np.int64), n), 2, "random")
     assert seen.shape == (n, len(masks)) and seen.dtype == np.int8
     for column, mask in zip(seen.T.tolist(), masks):
         b = BidVector(p, mask)

@@ -84,19 +84,18 @@ def _smallest_witnesses(n: int, differs) -> list[tuple[int, int]]:
     return found
 
 
-def _neighbour_offers(masks, n, h, auction):
+def _neighbour_offers(high, h, auction):
     """Bidder i is offered h iff it and its right neighbour (cyclically) bid high."""
-    bits = [(masks >> j) & 1 for j in range(n)]
-    return np.stack([(bits[j] & bits[(j + 1) % n]).astype(bool) for j in range(n)])
+    return high & np.roll(high, -1, axis=0)
 
 
-_popcount = enumeration.popcount
+_seen_high_counts = enumeration.seen_high_counts
 
 
-def _pair_count(masks):
-    """A "count" that also counts adjacent high pairs, so it moves with bidder
+def _pair_count(high):
+    """n_h(i) plus the adjacent high pairs: a "count" that moves with bidder
     i's bid beyond its own bit whenever a neighbour bids high."""
-    return _popcount(masks) + _popcount(masks & (masks >> 1))
+    return _seen_high_counts(high) + (high[:-1] & high[1:]).sum(axis=0, dtype=np.int8)
 
 
 @pytest.mark.parametrize("n", [3, 6, 9])
@@ -114,9 +113,9 @@ def test_own_bid_dependence_is_reported_for_deterministic_offers(monkeypatch, n)
 @pytest.mark.parametrize("n", [3, 6, 9])
 def test_own_bid_dependence_is_reported_for_the_count_statistic(monkeypatch, n):
     def statistic(mask, i):
-        return int(_pair_count(np.array([mask]))[0]) - ((mask >> (i - 1)) & 1)
+        return int(_pair_count(enumeration.high_matrix(np.array([mask]), n))[i - 1, 0])
 
-    monkeypatch.setattr(enumeration, "popcount", _pair_count)
+    monkeypatch.setattr(enumeration, "seen_high_counts", _pair_count)
     want = _smallest_witnesses(n, lambda m, f, i: statistic(m, i) != statistic(f, i))
     assert want == [(1, 2)] + [(i, 1 << (i - 2)) for i in range(2, n + 1)]
     got = bid_independence_violations(AuctionParams(n, 2), "random")
@@ -133,7 +132,7 @@ def test_witnesses_do_not_depend_on_mask_ranges(monkeypatch, n):
         m.setattr(analysis, "_MASK_RANGE", 1 << 3)
         assert bid_independence_violations(p, "derand") == offers != []
     with monkeypatch.context() as m:
-        m.setattr(enumeration, "popcount", _pair_count)
+        m.setattr(enumeration, "seen_high_counts", _pair_count)
         counts = bid_independence_violations(p, "random")
         m.setattr(analysis, "_MASK_RANGE", 1 << 3)
         assert bid_independence_violations(p, "random") == counts != []
