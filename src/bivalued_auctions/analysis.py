@@ -60,9 +60,10 @@ MC_SAMPLES_LIMIT = 1 << 30
 # Draws per Monte Carlo block: one block's uint64 coin matrix is at most 4 MB.
 _MC_BLOCK_DRAWS = 1 << 19
 _NEG_INF = np.int64(-(1 << 60))
-# Index sums per block of the derandomized (k, S) sweep, which bounds its
-# arrays whatever the S range of a class.
-_SUM_BLOCK = 1 << 16
+# (k, S) pairs per block of the derandomized sweep, which bounds its arrays
+# whatever the S range of a class.  Blocks of 2**13 int64 pairs stay in a
+# core's cache: at 2**16 the large-n sweeps ran about twice as long.
+_SUM_BLOCK = 1 << 13
 # Masks per range of everything that walks all 2**n vectors.
 _MASK_RANGE = 1 << 16
 
@@ -188,6 +189,34 @@ def _lex_least(params: AuctionParams, k: int, index_sum: int) -> BidVector:
     return BidVector(params, mask)
 
 
+def _sum_blocks(n: int, h: int):
+    """The (k, S) pairs that the derandomized sweep scans, in blocks of at
+    most _SUM_BLOCK pairs, each a list of (k, first S, count) pieces.
+
+    Class k's revenue is periodic in S with period lcm(B(k), B(k-1)), so the
+    top period of its S range holds its maximum and the largest S attaining
+    it.  A block holds a run of whole top periods; a class whose top period
+    exceeds _SUM_BLOCK is cut into slices of its own, in increasing S.
+    """
+    moduli = enumeration.derand_classes(n, h)[0].tolist()
+    block, size = [], 0
+    for k in range(n + 1):
+        top = k * (2 * n - k + 1) // 2
+        first = max(k * (k + 1) // 2, top + 1 - lcm(moduli[k], moduli[max(k - 1, 0)]))
+        count = top + 1 - first
+        if block and size + count > _SUM_BLOCK:
+            yield block
+            block, size = [], 0
+        if count > _SUM_BLOCK:
+            for start in range(first, top + 1, _SUM_BLOCK):
+                yield [(k, start, min(_SUM_BLOCK, top + 1 - start))]
+        else:
+            block.append((k, first, count))
+            size += count
+    if block:
+        yield block
+
+
 def worst_case_sweep(
     params: AuctionParams,
     auction: str,
@@ -201,9 +230,12 @@ def worst_case_sweep(
     lose the same on every vector with k high bids.  The derandomized
     auction's revenue depends on k and on S, the sum of the high bidders'
     indices, and every S in [k(k+1)/2, k(2n-k+1)/2] occurs, so its worst
-    case is a maximum over at most n**3/6 (k, S) pairs.  Each class k keeps
-    its worst loss and the largest S that attains it, the top sum when the
-    loss depends on k alone.  The witness is the lexicographically least
+    case is a maximum over at most n**3/6 (k, S) pairs.  Only the top
+    period of each class's S range is scanned (_sum_blocks), the classes
+    laid end to end in shared blocks of at most _SUM_BLOCK pairs, one
+    derand_revenues call and one segmented reduction per block.  Each class k
+    keeps its worst loss and the largest S that attains it, the top sum when
+    the loss depends on k alone.  The witness is the lexicographically least
     worst vector: the greedy lex-least vector of an index sum falls strictly
     in lex order as the sum grows, so each worst class offers the one at its
     largest worst sum, and the least of those wins.
@@ -216,30 +248,32 @@ def worst_case_sweep(
 
     per_nh: dict[int, Loss] = {}
     worst_sum: dict[int, int] = {}
-    for k in range(n + 1):
-        opt = max(n, h * k)
-        top = k * (2 * n - k + 1) // 2
-        if auction == "derand":
-            # the revenue is periodic in S with period lcm(B(k), B(k-1)), so
-            # the top period of the S range holds the maximum and the
-            # largest S attaining it
-            moduli = enumeration.derand_classes(n, h)[0]
-            period = lcm(int(moduli[k]), int(moduli[max(k - 1, 0)]))
-            lowest = max(k * (k + 1) // 2, top + 1 - period)
-            for start in range(lowest, top + 1, _SUM_BLOCK):
-                sums = np.arange(start, min(start + _SUM_BLOCK, top + 1), dtype=np.int64)
-                losses = opt - enumeration.derand_revenues(k, sums, n, h)
-                worst = int(losses.max())
-                if start == lowest or worst >= per_nh[k]:  # ties move to the larger S
-                    per_nh[k] = worst
-                    worst_sum[k] = start + int(np.flatnonzero(losses == worst)[-1])
-        else:
+    if auction == "derand":
+        for block in _sum_blocks(n, h):
+            classes, firsts, counts = (np.array(column) for column in zip(*block))
+            starts = np.cumsum(counts) - counts
+            pairs = int(counts.sum())
+            index = np.arange(pairs)
+            # a block of one class passes k as a scalar: numpy divides by one
+            # modulus several times faster than by an array of them
+            k = classes[0] if len(block) == 1 else np.repeat(classes, counts)
+            sums = index + np.repeat(firsts - starts, counts)
+            losses = np.maximum(n, h * k) - enumeration.derand_revenues(k, sums, n, h)
+            # keys order a class's pairs by loss, then by S (exactly, as
+            # |loss| <= h*n), so its largest key is its worst loss at its
+            # largest worst S
+            worst, last = np.divmod(np.maximum.reduceat(losses * pairs + index, starts), pairs)
+            for k, loss, index_sum in zip(classes.tolist(), worst.tolist(), sums[last].tolist()):
+                if k not in per_nh or loss >= per_nh[k]:  # ties move to the larger S
+                    per_nh[k], worst_sum[k] = loss, index_sum
+    else:
+        for k in range(n + 1):
             if auction == "random":
                 revenue = expected_revenue_by_count(n, h, k)
             else:
                 t = enumeration.count_threshold(auction, n, h)
                 revenue = int(enumeration.count_revenues(k, n, h, t))
-            per_nh[k], worst_sum[k] = opt - revenue, top
+            per_nh[k], worst_sum[k] = max(n, h * k) - revenue, k * (2 * n - k + 1) // 2
     global_worst = max(per_nh.values())
     witness = min(
         (_lex_least(params, k, worst_sum[k]) for k in per_nh if per_nh[k] == global_worst),

@@ -216,17 +216,30 @@ class SurdSum:
             return hash(self.as_fraction())
         return hash(self._terms)
 
+    def _compare(self, other: ExactLike) -> int:
+        """The sign of self - other.  Disjoint 64-bit intervals from _bounds
+        settle it without building the difference; only overlapping ones,
+        equal values among them, take the exact route."""
+        other = SurdSum.of(other)
+        lo, hi, unit = self._bounds(64)
+        other_lo, other_hi, other_unit = other._bounds(64)
+        if hi * other_unit < other_lo * unit:
+            return -1
+        if lo * other_unit > other_hi * unit:
+            return 1
+        return (self - other).sign()
+
     def __lt__(self, other: ExactLike) -> bool:
-        return (self - other).sign() < 0
+        return self._compare(other) < 0
 
     def __le__(self, other: ExactLike) -> bool:
-        return (self - other).sign() <= 0
+        return self._compare(other) <= 0
 
     def __gt__(self, other: ExactLike) -> bool:
-        return (self - other).sign() > 0
+        return self._compare(other) > 0
 
     def __ge__(self, other: ExactLike) -> bool:
-        return (self - other).sign() >= 0
+        return self._compare(other) >= 0
 
     # -- rendering ---------------------------------------------------------
 

@@ -151,3 +151,44 @@ def surd_to_decimal(terms, digits: int) -> str:
     if digits == 0:
         return f"{sign}{k}"
     return f"{sign}{k // scale}.{k % scale:0{digits}d}"
+
+
+def lex_least_bids(n: int, h: int, k: int, index_sum: int) -> list[int]:
+    """The lexicographically least bids (low = 1 < h) with k high bids whose
+    1-based indices sum to index_sum: bidder i bids low whenever the k high
+    bids still left can be placed among bidders i+1..n."""
+
+    def fits(j: int, total: int, lowest: int) -> bool:
+        if j > n - lowest + 1:
+            return False
+        return j * lowest + j * (j - 1) // 2 <= total <= j * n - j * (j - 1) // 2
+
+    bids = []
+    for i in range(1, n + 1):
+        if fits(k, index_sum, i + 1):
+            bids.append(1)
+        else:
+            bids.append(h)
+            k -= 1
+            index_sum -= i
+    assert k == 0 and index_sum == 0
+    return bids
+
+
+def derand_full_range_sweep(n: int, h: int, revenues) -> tuple[dict[int, int], list[int]]:
+    """Per-class worst loss of the derandomized auction and its lexicographically
+    least worst bids, from a scan of every index sum S in [k(k+1)/2,
+    k(2n-k+1)/2] of every class k.  revenues(k, sums) gives the revenue on
+    each sum in the list, one call per class: no period, no blocks."""
+    per_k: dict[int, int] = {}
+    worst_sums: dict[int, list[int]] = {}
+    for k in range(n + 1):
+        sums = list(range(k * (k + 1) // 2, k * (2 * n - k + 1) // 2 + 1))
+        losses = [max(n, h * k) - int(r) for r in revenues(k, sums)]
+        per_k[k] = max(losses)
+        worst_sums[k] = [s for s, loss in zip(sums, losses) if loss == per_k[k]]
+    worst = max(per_k.values())
+    witness = min(
+        lex_least_bids(n, h, k, s) for k in per_k if per_k[k] == worst for s in worst_sums[k]
+    )
+    return per_k, witness

@@ -29,6 +29,7 @@ from bivalued_auctions import (
     worst_case_sweep,
 )
 from bivalued_auctions import analysis
+from bivalued_auctions.enumeration import derand_revenues
 
 
 class TestAdditiveLoss:
@@ -138,6 +139,26 @@ class TestWorstCaseSweep:
         for n in range(1, 13):
             p = AuctionParams(n, h)
             assert worst_case_sweep(p, "derand") == analysis.enumerated_sweep(p, "derand"), n
+
+    # Each n adds a slicing shape: one class, two, a block of every class,
+    # and longer and longer runs of sliced classes.  At block 64 the small
+    # classes at either end share blocks and the middle ones are cut; block
+    # 3 cuts nearly every class into slices, which n <= 21 already shows.
+    @pytest.mark.parametrize(
+        "block, sizes",
+        [(None, (1, 2, 3, 8, 21, 41, 60)), (64, (1, 2, 3, 8, 21, 41, 60)), (3, (1, 2, 3, 8, 21))],
+    )
+    @pytest.mark.parametrize("h", [2, 3, 5, 7, 10, 20, 100])
+    def test_derand_matches_a_scan_of_every_sum(self, monkeypatch, block, sizes, h):
+        if block:
+            monkeypatch.setattr(analysis, "_SUM_BLOCK", block)
+        for n in sizes:
+            per_k, witness = oracles.derand_full_range_sweep(
+                n, h, lambda k, sums: derand_revenues(k, np.array(sums), n, h)
+            )
+            profile = worst_case_sweep(AuctionParams(n, h), "derand", limit=n)
+            assert profile.per_nh_worst == per_k, n
+            assert list(profile.witness.bids) == witness, n
 
     def test_derand_beyond_the_enumeration_cap(self):
         profile = worst_case_sweep(AuctionParams(200, 5), "derand", limit=200)

@@ -226,6 +226,53 @@ class TestSurdSum:
             assert x.to_decimal(digits) == oracles.surd_to_decimal(x.terms, digits), x
             assert x.sign() == oracles.surd_sign(x.terms), x
 
+    @given(
+        st.lists(
+            st.tuples(st.integers(1, 30), st.fractions(max_denominator=40)),
+            max_size=4,
+        ),
+        st.lists(
+            st.tuples(st.integers(1, 30), st.fractions(max_denominator=40)),
+            max_size=4,
+        ),
+        st.sampled_from(["other", "regrouped", "nudged", "rational"]),
+        st.integers(-3, 3),
+        st.integers(72, 200),
+    )
+    def test_comparisons_match_the_sign_of_the_difference(self, pairs, more, how, step, e):
+        # b is built apart from a, or equals a regrouped, or differs from it
+        # by a rational below 2**-70, where the 64-bit intervals of the two
+        # overlap, or is a plain int or Fraction
+        def surd(terms):
+            total = SurdSum.of(0)
+            for radicand, coeff in terms:
+                total = total + SurdSum.multiple(coeff, radicand)
+            return total
+
+        a = surd(pairs)
+        if how == "other":
+            b = surd(more)
+        elif how == "regrouped":
+            b = surd(more) + surd(reversed(pairs)) - surd(more)
+        elif how == "nudged":
+            b = a + Fraction(step, 1 << e)
+        else:
+            b = surd(more[:1])
+            b = b.as_fraction() if b.is_rational else Fraction(step, 7)
+            b = b.numerator if b.denominator == 1 else b
+        want = oracles.surd_sign((a - b).terms)
+        assert (a < b, a <= b, a > b, a >= b) == (want < 0, want <= 0, want > 0, want >= 0)
+        assert (b < a, b <= a, b > a, b >= a) == (want > 0, want >= 0, want < 0, want <= 0)
+
+    def test_comparisons_refine_overlapping_intervals(self):
+        a = SurdSum.root(2)
+        b = a + Fraction(1, 1 << 80)
+        lo, hi, unit = a._bounds(64)
+        b_lo, b_hi, b_unit = b._bounds(64)
+        assert b_lo * unit <= hi * b_unit  # the 64-bit intervals overlap
+        assert a < b and a <= b and b > a and b >= a
+        assert not (a > b or a >= b or b < a or b <= a)
+
     @given(st.fractions(min_value=0, max_value=1, max_denominator=1000))
     def test_ordering_against_fractions(self, q):
         v = SurdSum.multiple(Fraction(1, 2), 2)  # sqrt(2)/2 = 0.7071...
