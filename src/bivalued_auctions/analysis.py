@@ -1,11 +1,15 @@
-"""Certification machinery.
+"""Certification machinery that needs numpy.
 
-Worst-case additive loss, exact over all bid vectors but taken class by
-class (per high count k, and per high-index sum S for derand) rather than
-vector by vector; exact expectation identities under the hard i.i.d. bid
-distribution (high with probability 1/h); Monte Carlo estimates with
-per-chunk seed streams; and the block-structure verifier for the
-derandomized offer rule.
+Everything here walks arrays: the derandomized worst case by (k, S) pairs,
+the enumerated sweep that is the tests' reference for every worst case, the
+block-structure verifier of the derandomized offers, the bid-independence
+sweep, the exact expectation identities under the hard i.i.d. bid
+distribution (high with probability 1/h), which sum the count kernel, and
+Monte Carlo estimates with per-chunk seed streams.
+
+The numpy-free half lives in certify: the limits and domain checks, the
+identity error, the per-vector loss, the class-by-class worst case and the
+DOP demo.  Every name of it is re-exported here, so analysis.X is certify.X.
 
 All identity work is exact (Fraction / SurdSum); floating point only ever
 appears in Monte Carlo summaries, which carry standard errors.
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, exp, lcm, sqrt
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -30,33 +34,38 @@ from .auctions import (  # AUCTION_NAMES stays readable as analysis.AUCTION_NAME
     derand_run,
     expected_revenue_by_count,
     _offer_threshold_by_count,
-    require_auction,
     require_divisible,
-    run_auction,
 )
-from .core import LOW_VALUE, AuctionParams, BidVector, count_high, offline_optimal
+from .certify import (  # re-exported: analysis.X is certify.X
+    DEFAULT_ENUMERATION_LIMIT,
+    DEMO_N_LIMIT,
+    ENUMERATION_CAP,
+    KERNEL_HN_LIMIT,
+    MC_N_LIMIT,
+    MC_SAMPLES_LIMIT,
+    IdentityCheckError,
+    Loss,
+    LossProfile,
+    _check_sweep_args,
+    _dop_demo,
+    _lex_least,
+    _normalize,
+    _require_enumerable,
+    _require_kernel_domain,
+    additive_loss,
+    check_block_sweep,
+    check_demo,
+    check_monte_carlo,
+    check_sweep,
+    dop_unboundedness_demo,
+    worst_case_sweep,
+)
+from .core import LOW_VALUE, AuctionParams, BidVector, count_high
 from .core import revenue_by_offer_counts
 from .exact import SurdSum
 from .rng import stream_generator
 
-Loss = Union[int, SurdSum]
-
-DEFAULT_ENUMERATION_LIMIT = 20
-# Hard cap on n for anything that walks all 2**n vectors, whatever its
-# limit: 2**30 vectors is hours of work, and the int64 masks and lex keys
-# stay exact far beyond it.
-ENUMERATION_CAP = 30
-# The DOP demo runs the scalar rule on one vector of n bidders, at a cost
-# quadratic in n: about half a second at this cap.
-DEMO_N_LIMIT = 1 << 16
 _MC_CHUNK = 1 << 14
-# Each Monte Carlo chunk holds a (_MC_CHUNK, n) bool bid matrix, or a row
-# range of one a share of it: at most 256 MiB at this cap, per worker, with
-# at most one worker per core.
-MC_N_LIMIT = 1 << 14
-# Monte Carlo lists every chunk, and with threads submits each to a pool, before
-# any draw: 2**30 samples are 2**16 chunks, which peaked at 134 MB on 2 threads.
-MC_SAMPLES_LIMIT = 1 << 30
 # Draws per Monte Carlo block: one block's uint64 coin matrix is at most 4 MB.
 _MC_BLOCK_DRAWS = 1 << 19
 _NEG_INF = np.int64(-(1 << 60))
@@ -66,76 +75,6 @@ _NEG_INF = np.int64(-(1 << 60))
 _SUM_BLOCK = 1 << 13
 # Masks per range of everything that walks all 2**n vectors.
 _MASK_RANGE = 1 << 16
-
-# The int64 arithmetic of the vector kernels and of the chunk reductions is
-# exact while h * n <= 2**24.  Every benchmark value, revenue and loss is at
-# most h*n; the derandomized offer table compares hashes below n**2 with
-# h*m - n < h*n; and the largest sum, a Monte Carlo chunk's squared revenues,
-# is at most _MC_CHUNK * (h*n)**2 <= 2**62.
-KERNEL_HN_LIMIT = 1 << 24
-
-
-class IdentityCheckError(Exception):
-    """An exact identity that the library certifies failed to hold."""
-
-    def __init__(self, invariant: str, detail: str = ""):
-        self.invariant = invariant
-        super().__init__(f"identity violated: {invariant}" + (f" ({detail})" if detail else ""))
-
-
-# ---------------------------------------------------------------------------
-# Per-vector loss
-# ---------------------------------------------------------------------------
-
-
-def additive_loss(b: BidVector, auction: str) -> Loss:
-    """Fixed-price benchmark minus the auction's (expected) revenue on b.
-
-    Signed: a negative value means the auction beat the benchmark on this
-    vector.  Deterministic auctions give an int, "random" its exact expected
-    loss as a SurdSum.
-    """
-    require_auction(auction)
-    if auction == "random":
-        return SurdSum.of(offline_optimal(b)) - expected_revenue_by_count(
-            b.n, b.h, count_high(b)
-        )
-    return offline_optimal(b) - run_auction(b, auction).revenue
-
-
-# ---------------------------------------------------------------------------
-# Exhaustive worst-case sweep
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LossProfile:
-    """Worst additive loss of one auction over every bid vector at (n, h)."""
-
-    params: AuctionParams
-    auction: str
-    per_nh_worst: dict[int, Loss]
-    global_worst: Loss
-    witness: BidVector
-    normalized: SurdSum  # global_worst / sqrt(n * h)
-
-
-def _normalize(loss: Loss, n: int, h: int) -> SurdSum:
-    return SurdSum.of(loss) * SurdSum.multiple(Fraction(1, n * h), n * h)
-
-
-def _require_kernel_domain(n: int, h: int) -> None:
-    if h * n > KERNEL_HN_LIMIT:
-        raise ValueError(
-            f"h*n = {h * n} is outside the int64 kernel domain h*n <= {KERNEL_HN_LIMIT}"
-        )
-
-
-def _require_enumerable(n: int, limit: int = ENUMERATION_CAP) -> None:
-    if n > ENUMERATION_CAP:
-        raise ValueError(f"n={n} exceeds the enumeration cap {ENUMERATION_CAP}")
-    if n > limit:
-        raise ValueError(f"n={n} exceeds enumeration limit {limit}")
 
 
 def _mask_ranges(n: int) -> list[tuple[int, int]]:
@@ -159,34 +98,9 @@ def _map_chunks(fn, jobs: list, threads: Optional[int]) -> list:
     return [fn(job) for job in jobs]
 
 
-def _check_sweep_args(params: AuctionParams, auction: str) -> None:
-    require_auction(auction)
-    if auction == "threshold-dop":
-        require_divisible(params.n, params.h)
-    if auction != "random":
-        _require_kernel_domain(params.n, params.h)
-
-
-def check_sweep(params: AuctionParams, auction: str, limit: int) -> None:
-    """Raise ValueError unless worst_case_sweep accepts these arguments."""
-    _check_sweep_args(params, auction)
-    if params.n > limit:
-        raise ValueError(f"n={params.n} exceeds enumeration limit {limit}")
-
-
-def _lex_least(params: AuctionParams, k: int, index_sum: int) -> BidVector:
-    """The lexicographically least vector with k high bids at indices that
-    sum to index_sum: each bidder in turn bids low unless the remaining high
-    bids could no longer fit after it."""
-    n = params.n
-    mask = 0
-    for i in range(1, n + 1):
-        # k high bids among bidders i+1..n sum to at least k*(i+1) + k*(k-1)/2
-        if k and (k > n - i or index_sum < k * (i + 1) + k * (k - 1) // 2):
-            mask |= 1 << (i - 1)
-            k -= 1
-            index_sum -= i
-    return BidVector(params, mask)
+# ---------------------------------------------------------------------------
+# The derandomized worst case by (k, S)
+# ---------------------------------------------------------------------------
 
 
 def _sum_blocks(n: int, h: int):
@@ -217,71 +131,34 @@ def _sum_blocks(n: int, h: int):
         yield block
 
 
-def worst_case_sweep(
-    params: AuctionParams,
-    auction: str,
-    *,
-    limit: int = DEFAULT_ENUMERATION_LIMIT,
-    threads: Optional[int] = None,
-) -> LossProfile:
-    """Profile the additive loss over every bid vector at (n, h), by class.
+def _derand_worst_by_class(n: int, h: int) -> tuple[dict[int, int], dict[int, int]]:
+    """Per class k of the derandomized auction at (n, h): its worst loss, and
+    the largest high-index sum S that attains it.
 
-    No vector is enumerated.  DOP, threshold-DOP and the randomized auction
-    lose the same on every vector with k high bids.  The derandomized
-    auction's revenue depends on k and on S, the sum of the high bidders'
-    indices, and every S in [k(k+1)/2, k(2n-k+1)/2] occurs, so its worst
-    case is a maximum over at most n**3/6 (k, S) pairs.  Only the top
-    period of each class's S range is scanned (_sum_blocks), the classes
-    laid end to end in shared blocks of at most _SUM_BLOCK pairs, one
-    derand_revenues call and one segmented reduction per block.  Each class k
-    keeps its worst loss and the largest S that attains it, the top sum when
-    the loss depends on k alone.  The witness is the lexicographically least
-    worst vector: the greedy lex-least vector of an index sum falls strictly
-    in lex order as the sum grows, so each worst class offers the one at its
-    largest worst sum, and the least of those wins.
-
-    `limit` caps n; `threads` is accepted for callers that pass it and has
-    no effect, since the sweep does no chunked work.
+    Only the top period of each class's S range is scanned (_sum_blocks),
+    the classes laid end to end in shared blocks of at most _SUM_BLOCK
+    pairs, one derand_revenues call and one segmented reduction per block.
     """
-    n, h = params.n, params.h
-    check_sweep(params, auction, limit)
-
-    per_nh: dict[int, Loss] = {}
+    per_nh: dict[int, int] = {}
     worst_sum: dict[int, int] = {}
-    if auction == "derand":
-        for block in _sum_blocks(n, h):
-            classes, firsts, counts = (np.array(column) for column in zip(*block))
-            starts = np.cumsum(counts) - counts
-            pairs = int(counts.sum())
-            index = np.arange(pairs)
-            # a block of one class passes k as a scalar: numpy divides by one
-            # modulus several times faster than by an array of them
-            k = classes[0] if len(block) == 1 else np.repeat(classes, counts)
-            sums = index + np.repeat(firsts - starts, counts)
-            losses = np.maximum(n, h * k) - enumeration.derand_revenues(k, sums, n, h)
-            # keys order a class's pairs by loss, then by S (exactly, as
-            # |loss| <= h*n), so its largest key is its worst loss at its
-            # largest worst S
-            worst, last = np.divmod(np.maximum.reduceat(losses * pairs + index, starts), pairs)
-            for k, loss, index_sum in zip(classes.tolist(), worst.tolist(), sums[last].tolist()):
-                if k not in per_nh or loss >= per_nh[k]:  # ties move to the larger S
-                    per_nh[k], worst_sum[k] = loss, index_sum
-    else:
-        for k in range(n + 1):
-            if auction == "random":
-                revenue = expected_revenue_by_count(n, h, k)
-            else:
-                t = enumeration.count_threshold(auction, n, h)
-                revenue = int(enumeration.count_revenues(k, n, h, t))
-            per_nh[k], worst_sum[k] = max(n, h * k) - revenue, k * (2 * n - k + 1) // 2
-    global_worst = max(per_nh.values())
-    witness = min(
-        (_lex_least(params, k, worst_sum[k]) for k in per_nh if per_nh[k] == global_worst),
-        key=lambda b: b.bids,
-    )
-    return LossProfile(
-        params, auction, per_nh, global_worst, witness, _normalize(global_worst, n, h)
-    )
+    for block in _sum_blocks(n, h):
+        classes, firsts, counts = (np.array(column) for column in zip(*block))
+        starts = np.cumsum(counts) - counts
+        pairs = int(counts.sum())
+        index = np.arange(pairs)
+        # a block of one class passes k as a scalar: numpy divides by one
+        # modulus several times faster than by an array of them
+        k = classes[0] if len(block) == 1 else np.repeat(classes, counts)
+        sums = index + np.repeat(firsts - starts, counts)
+        losses = np.maximum(n, h * k) - enumeration.derand_revenues(k, sums, n, h)
+        # keys order a class's pairs by loss, then by S (exactly, as
+        # |loss| <= h*n), so its largest key is its worst loss at its
+        # largest worst S
+        worst, last = np.divmod(np.maximum.reduceat(losses * pairs + index, starts), pairs)
+        for k, loss, index_sum in zip(classes.tolist(), worst.tolist(), sums[last].tolist()):
+            if k not in per_nh or loss >= per_nh[k]:  # ties move to the larger S
+                per_nh[k], worst_sum[k] = loss, index_sum
+    return per_nh, worst_sum
 
 
 # ---------------------------------------------------------------------------
@@ -290,10 +167,14 @@ def worst_case_sweep(
 
 
 def _sweep_chunk(losses_of, n: int, lo: int, hi: int):
+    """One mask range's worst loss per high count k, its worst loss, and the
+    lex key and mask of its lex-least worst vector.  The high counts are one
+    int8 column sum, which the per-count maximum and losses_of share."""
     high = enumeration.high_matrix(enumeration.mask_array(lo, hi), n)
-    losses = losses_of(high)
+    k = high.sum(axis=0, dtype=np.int8)
+    losses = losses_of(high, k)
     per_k = np.full(n + 1, _NEG_INF, dtype=np.int64)
-    np.maximum.at(per_k, high.sum(axis=0, dtype=np.int8), losses)
+    np.maximum.at(per_k, k, losses)
     worst = int(losses.max())
     at_worst = lo + np.flatnonzero(losses == worst)
     keys = enumeration.lex_keys(at_worst, n)
@@ -320,16 +201,16 @@ def enumerated_sweep(params: AuctionParams, auction: str) -> LossProfile:
         levels = sorted(set(exact))
         rank = np.array([levels.index(loss) for loss in exact], dtype=np.int64)
 
-        def losses_of(high):
-            return rank[high.sum(axis=0, dtype=np.int8)]
+        def losses_of(high, k):
+            return rank[k]
 
         def value(level) -> Loss:
             return levels[level]
     else:
         kernel = enumeration.REVENUE_KERNELS[auction]
 
-        def losses_of(high):
-            return np.maximum(n, h * high.sum(axis=0)) - kernel(high, h)
+        def losses_of(high, k):
+            return np.maximum(n, h * k.astype(np.int64)) - kernel(high, h)
 
         value = int
 
@@ -350,39 +231,6 @@ def enumerated_sweep(params: AuctionParams, auction: str) -> LossProfile:
         BidVector(params, best_mask),
         _normalize(global_worst, n, h),
     )
-
-
-# ---------------------------------------------------------------------------
-# The DOP failure mode
-# ---------------------------------------------------------------------------
-
-
-def check_demo(h: int, n: Optional[int] = None) -> int:
-    """Raise ValueError unless dop_unboundedness_demo accepts (h, n); return
-    the demo's n, which defaults to h**2."""
-    n = h * h if n is None else n
-    if n > DEMO_N_LIMIT:
-        raise ValueError(f"n={n} exceeds the demo limit {DEMO_N_LIMIT}")
-    require_divisible(n, h)
-    return n
-
-
-def _dop_demo(h: int, n: Optional[int] = None) -> tuple[BidVector, Fraction]:
-    """The demo's vector, with exactly n/h high bids, and DOP's benchmark-to-
-    revenue ratio on it."""
-    n = check_demo(h, n)
-    n_high = n // h
-    b = BidVector(AuctionParams(n, h), ((1 << n_high) - 1) << (n - n_high))
-    return b, Fraction(offline_optimal(b), run_auction(b, "dop").revenue)
-
-
-def dop_unboundedness_demo(h: int, n: Optional[int] = None) -> Fraction:
-    """Benchmark-to-revenue ratio of DOP on a vector with exactly n/h high bids.
-
-    Returns n / n_high = h: on this input DOP offers every high bidder 1 and
-    every low bidder h, so only the high bidders pay, 1 each.
-    """
-    return _dop_demo(h, n)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -439,12 +287,6 @@ def block_structure_check(b: BidVector, offers: Optional[tuple[int, ...]] = None
                     BlockViolation(bidder_class, block_index, block, got, a_plus, partial),
                 )
     return BlockCheckResult(True, None)
-
-
-def check_block_sweep(params: AuctionParams, limit: int) -> None:
-    """Raise ValueError unless block_structure_sweep accepts these arguments."""
-    _require_enumerable(params.n, limit)
-    _require_kernel_domain(params.n, params.h)
 
 
 def _block_failures(high: np.ndarray, offered_h: np.ndarray, h: int) -> np.ndarray:
@@ -751,18 +593,6 @@ def _mean_stderr(total: int, total_sq: int, count: int) -> tuple[float, float]:
         return mean, 0.0
     var = (Fraction(total_sq) - Fraction(total * total, count)) / (count - 1)
     return mean, sqrt(max(float(var), 0.0) / count)
-
-
-def check_monte_carlo(n: int, h: int, auction: str, samples: int) -> None:
-    """Raise ValueError unless monte_carlo_under_d accepts these arguments."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    _check_sweep_args(AuctionParams(n, h), auction)
-    _require_kernel_domain(n, h)  # the random auction's sums are int64 too
-    if n > MC_N_LIMIT:
-        raise ValueError(f"n={n} exceeds the Monte Carlo limit {MC_N_LIMIT}")
-    if samples > MC_SAMPLES_LIMIT:
-        raise ValueError(f"samples={samples} exceeds the Monte Carlo limit {MC_SAMPLES_LIMIT}")
 
 
 def monte_carlo_under_d(

@@ -62,6 +62,23 @@ def threshold_dop_offer(m: MaskedBidVector) -> int:
     return params.h if count_high_excluding(m) >= params.n // params.h else LOW_VALUE
 
 
+def count_threshold(auction: str, n: int, h: int) -> int:
+    """The least n_h(i) at which DOP or threshold-DOP offers h."""
+    if auction == "dop":
+        return -(-(n - 1) // h)  # h * n_h(i) >= n - 1
+    if auction == "threshold-dop":
+        require_divisible(n, h)
+        return n // h
+    raise ValueError(f"{auction!r} is not a count-threshold auction")
+
+
+def count_revenues(k, n: int, h: int, t: int):
+    """Revenue of the count-threshold rule on vectors with k high bids (an
+    int or an int array): a low bidder sees k high bids and a high bidder
+    k - 1, and each is offered h iff it sees at least t."""
+    return revenue_by_offer_counts(n, h, (n - k) * (k >= t), k * (k > t))
+
+
 # ---------------------------------------------------------------------------
 # Randomized auction
 # ---------------------------------------------------------------------------

@@ -6,6 +6,12 @@ byte-identical output; Monte Carlo randomness is fully determined by --seed.
 Each subcommand is declared once, in build_parser: its subparser carries the
 command's domain check and row builder as the defaults `domain` and `rows`.
 
+Four commands load numpy: `sweep --auction derand`, `dist-d`, `mc` and
+`block-check`.  Their row builders import analysis when they run (the
+derand sweep through certify.worst_case_sweep), so a process that runs only
+`expectation`, `demo-dop` and the dop, threshold-dop and random sweeps
+never imports numpy; every domain check, batch's included, is numpy-free.
+
 Exit codes: 0 success, 1 usage or configuration error, 2 violated exact
 invariant (the regression alarm, wired to the identity checks).
 """
@@ -17,10 +23,11 @@ import json
 import sys
 from typing import Optional
 
-from . import analysis, reports
-from .analysis import DEFAULT_ENUMERATION_LIMIT, IdentityCheckError
+from . import certify, reports
 from .auctions import AUCTION_NAMES, expected_revenue_by_count, require_divisible
+from .certify import DEFAULT_ENUMERATION_LIMIT, IdentityCheckError
 from .core import AuctionParams, BidVector, count_high, offline_optimal
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors by default; the contract here is 1."""
@@ -77,7 +84,7 @@ def build_parser() -> _Parser:
                     help="largest n accepted")
     _add_output_flags(sp)
     sp.set_defaults(
-        domain=lambda ns: analysis.check_sweep(AuctionParams(ns.n, ns.h), ns.auction, ns.limit),
+        domain=lambda ns: certify.check_sweep(AuctionParams(ns.n, ns.h), ns.auction, ns.limit),
         rows=_sweep_rows,
     )
 
@@ -86,7 +93,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--n", type=_positive_int, default=None, help="defaults to h*h")
     _add_output_flags(sp)
     sp.set_defaults(
-        domain=lambda ns: analysis.check_demo(ns.h, ns.n),
+        domain=lambda ns: certify.check_demo(ns.h, ns.n),
         rows=_demo_dop_rows,
     )
 
@@ -112,7 +119,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--limit", type=_positive_int, default=DEFAULT_ENUMERATION_LIMIT)
     _add_output_flags(sp)
     sp.set_defaults(
-        domain=lambda ns: analysis.check_block_sweep(AuctionParams(ns.n, ns.h), ns.limit),
+        domain=lambda ns: certify.check_block_sweep(AuctionParams(ns.n, ns.h), ns.limit),
         rows=_block_check_rows,
     )
 
@@ -144,7 +151,7 @@ def build_parser() -> _Parser:
 
 def _sweep_rows(ns: argparse.Namespace) -> list[dict]:
     params = AuctionParams(ns.n, ns.h)
-    profile = analysis.worst_case_sweep(params, ns.auction, limit=ns.limit, threads=ns.threads)
+    profile = certify.worst_case_sweep(params, ns.auction, limit=ns.limit, threads=ns.threads)
     witness = profile.witness
     opt = offline_optimal(witness)
     loss = profile.global_worst
@@ -158,13 +165,13 @@ def _sweep_rows(ns: argparse.Namespace) -> list[dict]:
 
 
 def _demo_dop_rows(ns: argparse.Namespace) -> list[dict]:
-    b, ratio = analysis._dop_demo(ns.h, ns.n)
+    b, ratio = certify._dop_demo(ns.h, ns.n)
     n = b.n
     revenue = n // ratio  # ratio = opt / revenue, opt = n, revenue an integer
     return [{
         "command": "demo-dop", "n": n, "h": ns.h, "auction": "dop",
         "n_h": count_high(b), "opt": n, "revenue": revenue, "loss": n - revenue,
-        "normalized_loss": analysis._normalize(n - revenue, n, ns.h),
+        "normalized_loss": certify._normalize(n - revenue, n, ns.h),
         "ratio": ratio,
     }]
 
@@ -189,17 +196,21 @@ def _require_printable(n: int, h: int) -> None:
 
 
 def _dist_d_rows(ns: argparse.Namespace) -> list[dict]:
+    from . import analysis
+
     e_opt, e_dop, gap = analysis.check_distribution_identities(ns.n, ns.h)
     return [{
         "command": "dist-d", "n": ns.n, "h": ns.h, "auction": "threshold-dop",
         "n_h": ns.n // ns.h, "opt": e_opt, "revenue": e_dop, "loss": gap,
-        "normalized_loss": analysis._normalize(gap, ns.n, ns.h),
+        "normalized_loss": certify._normalize(gap, ns.n, ns.h),
         "gap_exact_num": gap.numerator, "gap_exact_den": gap.denominator,
         "exact_e_opt": e_opt, "exact_e_dop": e_dop,
     }]
 
 
 def _mc_rows(ns: argparse.Namespace) -> list[dict]:
+    from . import analysis
+
     report = analysis.monte_carlo_under_d(
         ns.n, ns.h, ns.auction, ns.samples, ns.seed, threads=ns.threads
     )
@@ -222,6 +233,8 @@ def _mc_rows(ns: argparse.Namespace) -> list[dict]:
 
 
 def _block_check_rows(ns: argparse.Namespace) -> list[dict]:
+    from . import analysis
+
     params = AuctionParams(ns.n, ns.h)
     checked, failure = analysis.block_structure_sweep(params, limit=ns.limit)
     if failure is not None:
@@ -250,7 +263,7 @@ def _expectation_rows(ns: argparse.Namespace) -> list[dict]:
         row = {
             "command": "expectation", "n": ns.n, "h": ns.h, "auction": "random",
             "n_h": k, "opt": opt, "revenue": expectation, "loss": loss,
-            "normalized_loss": analysis._normalize(loss, ns.n, ns.h),
+            "normalized_loss": certify._normalize(loss, ns.n, ns.h),
         }
         if ns.bids is not None:
             row["bids"] = ns.bids
@@ -345,7 +358,7 @@ def _dist_d_domain(ns: argparse.Namespace) -> None:
 
 def _mc_domain(ns: argparse.Namespace) -> None:
     _require_printable(ns.n, ns.h)
-    analysis.check_monte_carlo(ns.n, ns.h, ns.auction, ns.samples)
+    certify.check_monte_carlo(ns.n, ns.h, ns.auction, ns.samples)
 
 
 # The per-count table costs about 0.04 ms and 1.8 KB per row: its 2**16 + 1

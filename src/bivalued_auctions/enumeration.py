@@ -22,7 +22,8 @@ every kernel reads in place.
   distribution is a function of it alone.
 - DOP and threshold-DOP offer h iff n_h(i) >= t for a count threshold t
   (`count_threshold`), so their revenue is a function of the high count k
-  alone (`count_revenues`).
+  alone (`count_revenues`).  Both are plain int arithmetic in auctions,
+  which the count kernels apply to the column sums of `high`.
 - The derandomized rule offers h iff z mod B(n_h(i)) < a+(n_h(i)), with
   the class table (B, a+) built once per (n, h) by `derand_classes` and the
   test written once, as the window count `_window_offers`.  Its offers
@@ -39,7 +40,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .auctions import derand_modulus, require_divisible
+from .auctions import count_revenues, count_threshold, derand_modulus
 from .core import revenue_by_offer_counts
 
 # derand_offers gathers from an (n + 1, W) bool table, W = n(n+1)/2 + n + 1,
@@ -88,23 +89,6 @@ def lex_keys(masks: np.ndarray, n: int) -> np.ndarray:
     for i in range(1, n + 1):
         keys |= (((masks >> (i - 1)) & 1)) << (n - i)
     return keys
-
-
-def count_threshold(auction: str, n: int, h: int) -> int:
-    """The least n_h(i) at which DOP or threshold-DOP offers h."""
-    if auction == "dop":
-        return -(-(n - 1) // h)  # h * n_h(i) >= n - 1
-    if auction == "threshold-dop":
-        require_divisible(n, h)
-        return n // h
-    raise ValueError(f"{auction!r} is not a count-threshold auction")
-
-
-def count_revenues(k: np.ndarray, n: int, h: int, t: int) -> np.ndarray:
-    """Revenue of the count-threshold rule on vectors with k high bids: a
-    low bidder sees k high bids and a high bidder k - 1, and each is offered
-    h iff it sees at least t."""
-    return revenue_by_offer_counts(n, h, (n - k) * (k >= t), k * (k > t))
 
 
 @lru_cache(maxsize=64)

@@ -3,14 +3,17 @@
 Per-bidder offer coins are drawn by a keyed hash of (seed, path), so each
 coin is addressable and independent of evaluation order.  Bulk sampling gets
 a Philox stream per fixed-size chunk, keyed the same way, which makes results
-independent of how many workers the chunks are spread across.
+independent of how many workers the chunks are spread across.  Only the bulk
+streams need numpy, which is imported when the first one is made.
 """
 
 from __future__ import annotations
 
 import hashlib
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 _MASK64 = (1 << 64) - 1
 
@@ -28,5 +31,7 @@ def draw_u64(seed: int, *path: int) -> int:
 
 def stream_generator(seed: int, stream: int) -> np.random.Generator:
     """A Philox generator for one bulk-sampling stream."""
+    import numpy as np
+
     key = int.from_bytes(_digest(seed, (stream,), 16), "little")
     return np.random.Generator(np.random.Philox(key=key))

@@ -28,7 +28,7 @@ from bivalued_auctions import (
     offline_optimal,
     worst_case_sweep,
 )
-from bivalued_auctions import analysis
+from bivalued_auctions import analysis, certify
 from bivalued_auctions.enumeration import derand_revenues
 
 
@@ -124,8 +124,12 @@ class TestWorstCaseSweep:
         def tied_expected_revenue(n, h, k):
             return SurdSum.of(max(n, h * k)) - (SurdSum.root(2) if k in (2, 6) else 0)
 
-        monkeypatch.setattr(analysis.enumeration, "count_revenues", tied_count_revenues)
-        monkeypatch.setattr(analysis, "expected_revenue_by_count", tied_expected_revenue)
+        # the sweep reads both names in certify, the enumerated oracle through
+        # the count kernel and in analysis
+        for owner in (certify, analysis.enumeration):
+            monkeypatch.setattr(owner, "count_revenues", tied_count_revenues)
+        for owner in (certify, analysis):
+            monkeypatch.setattr(owner, "expected_revenue_by_count", tied_expected_revenue)
         p = AuctionParams(9, 3)
         profile = worst_case_sweep(p, auction)
         assert profile == analysis.enumerated_sweep(p, auction)

@@ -32,7 +32,9 @@ from typing import Optional
 import numpy as np
 import pytest
 
-from bivalued_auctions import AUCTION_NAMES, IdentityCheckError, analysis, cli, enumeration
+from bivalued_auctions import (
+    AUCTION_NAMES, IdentityCheckError, analysis, certify, cli, enumeration,
+)
 from bivalued_auctions.auctions import _offer_threshold_by_count, expected_revenue_by_count
 from bivalued_auctions.core import AuctionParams, BidVector, revenue_by_offer_counts, settle
 from bivalued_auctions.rng import stream_generator
@@ -109,7 +111,7 @@ def test_demo_dop_prints_the_scalar_run(monkeypatch, capsys):
     # offering h to bidder 1, a low bidder on the demo vector, and 1 to every
     # other bidder earns n - 1, where DOP earns n/h
     monkeypatch.setattr(
-        analysis, "run_auction", lambda b, auction: settle(b, [b.h] + [1] * (b.n - 1))
+        certify, "run_auction", lambda b, auction: settle(b, [b.h] + [1] * (b.n - 1))
     )
     assert cli.main(["demo-dop", "--h", "3"]) == 0
     row = capsys.readouterr().out.splitlines()[1].split(",")
@@ -126,7 +128,7 @@ def test_identity_check_builds_the_weights_once():
 def test_demo_dop_reads_n_and_n_h_from_the_demo_vector(monkeypatch, capsys):
     # a demo vector with 3 of 6 bids high, where DOP's ratio is 2
     vector = BidVector(AuctionParams(6, 3), 0b111000)
-    monkeypatch.setattr(analysis, "_dop_demo", lambda h, n: (vector, Fraction(2)))
+    monkeypatch.setattr(certify, "_dop_demo", lambda h, n: (vector, Fraction(2)))
     assert cli.main(["demo-dop", "--h", "3"]) == 0
     row = capsys.readouterr().out.splitlines()[1].split(",")
     assert row[1:2] + row[4:8] == ["6", "3", "6", "3", "3"]  # n, n_h, opt, revenue, loss
