@@ -66,8 +66,10 @@ from .exact import SurdSum
 from .rng import stream_generator
 
 _MC_CHUNK = 1 << 14
-# Draws per Monte Carlo block: one block's uint64 coin matrix is at most 4 MB.
-_MC_BLOCK_DRAWS = 1 << 19
+# Draws per Monte Carlo block, which a job settles and drops before the next:
+# one block's int32 draws take at most 1 MB and its uint64 coins 2 MB.  Blocks
+# of 2**19 draws ran no faster and raised sample-hard's peak RSS by 8 MB.
+_MC_BLOCK_DRAWS = 1 << 18
 _NEG_INF = np.int64(-(1 << 60))
 # (k, S) pairs per block of the derandomized sweep, which bounds its arrays
 # whatever the S range of a class.  Blocks of 2**13 int64 pairs stay in a
@@ -498,29 +500,43 @@ def _sample_revenues(
     rng: np.random.Generator, n: int, h: int, auction: str, rows: int,
     *, coins: Optional[np.random.Generator] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Draw `rows` bid vectors (high w.p. 1/h) and settle the named auction.
+    """Draw `rows` bid vectors (high w.p. 1/h), settle the named auction, and
+    return the int64 revenue and opt of each row.
 
-    The draws are made in blocks of at most _MC_BLOCK_DRAWS, first every
-    bid, then the randomized auction's coins, so the stream is consumed as
-    by one (rows, n) draw of each and no block's coin matrix exceeds 4 MB.
-    Bids are drawn as int32, which takes numpy's same 32-bit Lemire path as
-    an int64 draw and so reads the same stream.  The coins come from `coins`
-    when it is given (a range of a cut chunk), else from rng after the bids.
+    The bids are drawn in blocks of at most _MC_BLOCK_DRAWS, and each block
+    is settled as it is drawn and then dropped: the count auctions keep its
+    high counts k, and derand settles it from k and the index sums.  So a
+    call holds one block and three int64 values a row (k, revenue, opt),
+    never a (rows, n) matrix.  Bids are drawn as int32, which takes numpy's
+    same 32-bit Lemire path as an int64 draw and so reads the same stream.
+    The randomized auction's coins stand after every bid, as in one
+    (rows, n) draw of each.  When `coins` is given (a range of a cut
+    chunk), it is positioned there and each block's coins are drawn right
+    after its bids.  Otherwise they come from rng after the last bid,
+    wherever rejected bid draws left it, so until then each block waits as
+    packed bits, n/8 bytes a row.
     """
     step = max(1, _MC_BLOCK_DRAWS // n)
     blocks = [(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
-    high = np.empty((rows, n), dtype=bool)
+    k = np.empty(rows, dtype=np.int64)
+    revenue = np.empty(rows, dtype=np.int64)
+    waiting = []  # each block's packed bits, until rng reaches its coins
     for lo, hi in blocks:
-        np.equal(rng.integers(0, h, size=(hi - lo, n), dtype=np.int32), 0, out=high[lo:hi])
-    k = high.sum(axis=1, dtype=np.int64)
-    opt = np.maximum(n, h * k)
-    if auction == "derand":
-        revenue = enumeration.derand_revenues(k, enumeration.high_index_sum(high.T), n, h)
-    elif auction == "random":
-        revenue = _random_revenues(rng if coins is None else coins, high, k, h, blocks)
-    else:
+        high = rng.integers(0, h, size=(hi - lo, n), dtype=np.int32) == 0
+        block_k = high.sum(axis=1, dtype=np.int64, out=k[lo:hi])
+        if auction == "derand":
+            sums = enumeration.high_index_sum(high.T)
+            revenue[lo:hi] = enumeration.derand_revenues(block_k, sums, n, h)
+        elif auction == "random" and coins is not None:
+            revenue[lo:hi] = _random_revenues(coins, high, block_k, h)
+        elif auction == "random":
+            waiting.append(np.packbits(high, axis=1))
+    for (lo, hi), packed in zip(blocks, waiting):
+        high = np.unpackbits(packed, axis=1, count=n).view(bool)
+        revenue[lo:hi] = _random_revenues(rng, high, k[lo:hi], h)
+    if auction in ("dop", "threshold-dop"):
         revenue = enumeration.count_revenues(k, n, h, enumeration.count_threshold(auction, n, h))
-    return revenue, opt
+    return revenue, np.maximum(n, h * k)
 
 
 @lru_cache(maxsize=16)
@@ -539,24 +555,21 @@ def _coin_thresholds(n: int, h: int) -> tuple[np.ndarray, np.ndarray]:
     return thresholds, always
 
 
-def _random_revenues(rng, high, k, h: int, blocks) -> np.ndarray:
-    """Settle the randomized auction on the rows of high, one coin block at
-    a time: bidder i is offered h iff its coin falls below the 64-bit
+def _random_revenues(rng, high, k, h: int) -> np.ndarray:
+    """Settle the randomized auction on one block: the rows of the (rows, n)
+    bid matrix high, with high counts k, and one uint64 coin per bid drawn
+    from rng.  Bidder i is offered h iff its coin falls below the 64-bit
     threshold of n_h(i), which is k for a low bidder and k - 1 for a high
     one, or that probability is 1."""
     n = high.shape[1]
     thresholds, always = _coin_thresholds(n, h)
-    revenue = np.empty(len(k), dtype=np.int64)
-    for lo, hi in blocks:
-        coins = rng.integers(0, 1 << 64, size=(hi - lo, n), dtype=np.uint64, endpoint=False)
-        bits, low_m = high[lo:hi], k[lo:hi]
-        high_m = np.maximum(low_m - 1, 0)  # a row without high bidders never reads it
-        low_offered = ((coins < thresholds[low_m, None]) & ~bits).sum(axis=1)
-        high_offered = ((coins < thresholds[high_m, None]) & bits).sum(axis=1)
-        low_offered = np.where(always[low_m], n - low_m, low_offered)
-        high_offered = np.where(always[high_m], low_m, high_offered)
-        revenue[lo:hi] = revenue_by_offer_counts(n, h, low_offered, high_offered)
-    return revenue
+    coins = rng.integers(0, 1 << 64, size=high.shape, dtype=np.uint64, endpoint=False)
+    high_m = np.maximum(k - 1, 0)  # a row without high bidders never reads it
+    low_offered = ((coins < thresholds[k, None]) & ~high).sum(axis=1)
+    high_offered = ((coins < thresholds[high_m, None]) & high).sum(axis=1)
+    low_offered = np.where(always[k], n - k, low_offered)
+    high_offered = np.where(always[high_m], k, high_offered)
+    return revenue_by_offer_counts(n, h, low_offered, high_offered)
 
 
 def _stream_at(seed: int, stream: int, word: int) -> np.random.Generator:
@@ -621,6 +634,8 @@ def monte_carlo_under_d(
     past which the expected redraw outweighs the cut's saving.  Every
     bid-independent auction with offers in {1, h} earns exactly 1 per
     bidder in expectation here, so the auction mean must sit near n.
+    Each job, chunk or range, is one _sample_revenues call, which settles
+    its draws block by block and returns only per-row revenue and opt.
     """
     check_monte_carlo(n, h, auction, samples)
 

@@ -35,9 +35,12 @@ ENUMERATION_CAP = 30
 # The DOP demo runs the scalar rule on one vector of n bidders, at a cost
 # quadratic in n: about half a second at this cap.
 DEMO_N_LIMIT = 1 << 16
-# Each Monte Carlo chunk holds an (analysis._MC_CHUNK, n) bool bid matrix,
-# or a row range of one a share of it: at most 256 MiB at this cap, per
-# worker, with at most one worker per core.
+# Monte Carlo settles each block of at most analysis._MC_BLOCK_DRAWS draws as
+# it is drawn, so a worker's memory does not grow with n: at this cap,
+# `mc --n 16384 --h 10 --auction dop --samples 32768 --threads 2` peaks at
+# about 40 MB on 2 cores, where holding each job's (rows, n) bid matrix
+# peaked at 496-552 MB.  The randomized auction's whole chunks add n/8 bytes
+# a row until their coins are drawn.
 MC_N_LIMIT = 1 << 14
 # Monte Carlo lists every chunk, and with threads submits each to a pool, before
 # any draw: 2**30 samples are 2**16 chunks, which peaked at 134 MB on 2 threads.

@@ -13,8 +13,8 @@ len(high) and the high counts k are high.sum(axis=0).  The kernels are
 Masks (bit i-1 set <=> bidder i bids high) stay where vectors are
 enumerated or ordered: `mask_array` lists a range of them, `high_matrix`
 turns them into the kernels' input, and `lex_keys` orders them.  Monte
-Carlo passes its sample-major (rows, n) draw matrix as `draw.T`, which
-every kernel reads in place.
+Carlo passes each sample-major draw block as `draw.T`, which every kernel
+reads in place.
 
 - Every auction here reads n_h(i), the high bids bidder i sees among the
   others; `seen_high_counts` is its int8 (n, rows) vector form, so it

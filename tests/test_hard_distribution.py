@@ -10,10 +10,15 @@ The derandomized auction's revenue is a function of k and of the high
 bidders' index sum S, so its identity sums `derand_revenues` over every
 (k, S), weighted by the number of k-subsets with sum S (a subset-sum DP), in
 Python ints to n = 30 and modulo two primes to n = 100.
-`_sample_revenues` draws in fixed-size row blocks, as int32, and settles the
-randomized auction per block; the oracle draws the whole chunk at once as
-int64 and gathers each bidder's threshold.  Both pairs must agree exactly,
-down to the generator's state after the draws.
+`_sample_revenues` draws in fixed-size row blocks, as int32, and settles
+each block as it is drawn; the oracle draws the whole chunk at once as int64
+and gathers each bidder's threshold.  Both must agree exactly, down to the
+generator's state after the draws, with the randomized auction's coins read
+from the chunk's own generator or, as a cut chunk's range reads them, from a
+second one positioned after the bids.  At h = 3000 the chunk's bid draws
+are rejected about 9 times, and the coins must still start where the bids
+end.  tracemalloc holds one call's peak well below its (rows, n) bid
+matrix.
 `monte_carlo_under_d` cuts its chunks into row ranges when it has fewer
 chunks than workers, each read from a generator positioned by `_stream_at`;
 its whole report must equal the sums of one `_sample_revenues` call per
@@ -25,6 +30,7 @@ seed redraws it, and at h = 3000 (about 9) no chunk is cut.
 
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction
 from math import comb
 from typing import Optional
@@ -205,14 +211,19 @@ def _block_rows(n: int) -> int:
     return max(1, analysis._MC_BLOCK_DRAWS // n)
 
 
-def _assert_same_draws(n, h, auction, rows, seed=7):
+def _assert_same_draws(n, h, auction, rows, seed=7, *, ranged=False):
+    """_sample_revenues on rows of stream 3 equals the oracle's whole-chunk
+    draw.  `ranged` passes the coins as a cut chunk's range does: from a
+    second generator positioned at word ceil(rows * n / 2), after the bids."""
     fast_rng, slow_rng = stream_generator(seed, 3), stream_generator(seed, 3)
-    revenue, opt = analysis._sample_revenues(fast_rng, n, h, auction, rows)
+    coins = analysis._stream_at(seed, 3, -(-rows * n // 2)) if ranged else None
+    revenue, opt = analysis._sample_revenues(fast_rng, n, h, auction, rows, coins=coins)
     want_revenue, want_opt = whole_chunk_revenues(slow_rng, n, h, auction, rows)
     assert np.array_equal(revenue, want_revenue)
     assert np.array_equal(opt, want_opt)
     # the stream was consumed exactly as far
-    assert fast_rng.integers(0, 1 << 64, dtype=np.uint64) == slow_rng.integers(
+    last = coins if ranged else fast_rng
+    assert last.integers(0, 1 << 64, dtype=np.uint64) == slow_rng.integers(
         0, 1 << 64, dtype=np.uint64
     )
 
@@ -233,6 +244,68 @@ def test_row_blocks_draw_what_one_chunk_draws(auction, n, h):
         rows.add(analysis._MC_CHUNK)
     for count in sorted(rows):
         _assert_same_draws(n, h, auction, count)
+        if auction == "random":  # the only auction that draws coins
+            _assert_same_draws(n, h, auction, count, ranged=True)
+
+
+def _bid_half_words(seed: int, stream: int, n: int, h: int, rows: int) -> int:
+    """32-bit halves that the bid draws of `rows` vectors take from the
+    stream, rejections included; drawn in row blocks, as the same stream."""
+    rng = stream_generator(seed, stream)
+    step = max(1, analysis._MC_BLOCK_DRAWS // n)
+    for lo in range(0, rows, step):
+        rng.integers(0, h, size=(min(step, rows - lo), n), dtype=np.int32)
+    return analysis._half_words_drawn(rng)
+
+
+def test_sequential_coins_start_where_rejected_bids_end():
+    # (2**32 mod 3000) / 2**32 * 2**14 * 1000 is about 8.8 expected
+    # rejections per chunk: the bids end past half-word rows * n, and the
+    # coins, drawn from rng after them, start where they end
+    n, h, rows, seed = 1000, 3000, analysis._MC_CHUNK, 12
+    halves = _bid_half_words(seed, 0, n, h, rows)
+    assert halves > rows * n
+    rng = stream_generator(seed, 0)
+    revenue, opt = analysis._sample_revenues(rng, n, h, "random", rows)
+    placed = analysis._stream_at(seed, 0, -(-halves // 2))
+    want = analysis._sample_revenues(stream_generator(seed, 0), n, h, "random", rows, coins=placed)
+    assert np.array_equal(revenue, want[0]) and np.array_equal(opt, want[1])
+    # and rng's coins ended where the placed generator's did
+    assert rng.integers(0, 1 << 64, dtype=np.uint64) == placed.integers(0, 1 << 64, dtype=np.uint64)
+    # coins read where the bids would end without rejections settle differently
+    unplaced = analysis._stream_at(seed, 0, rows * n // 2)
+    misread = analysis._sample_revenues(stream_generator(seed, 0), n, h, "random", rows, coins=unplaced)
+    assert not np.array_equal(revenue, misread[0])
+
+
+@pytest.mark.parametrize(
+    "auction,ranged",
+    [(auction, False) for auction in AUCTION_NAMES] + [("random", True)],
+)
+def test_sampling_holds_no_bid_matrix(monkeypatch, auction, ranged):
+    # tracemalloc sees numpy's buffers; a (rows, n) bool bid matrix alone
+    # would take rows * n bytes
+    n, h, rows, seed = 2000, 10, 512, 7
+    monkeypatch.setattr(analysis, "_MC_BLOCK_DRAWS", 1 << 12)
+    step = max(1, analysis._MC_BLOCK_DRAWS // n)  # rows a block
+    blocks = -(-rows // step)
+    analysis._coin_thresholds(n, h)  # the cached tables are no part of the peak
+    enumeration.derand_classes(n, h)
+    rng = stream_generator(seed, 0)  # which imports numpy.random, outside the trace
+    coins = analysis._stream_at(seed, 0, rows * n // 2) if ranged else None
+    tracemalloc.start()
+    try:
+        analysis._sample_revenues(rng, n, h, auction, rows, coins=coins)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the int64 outputs and high counts, four blocks of uint64 coins, and
+    # the sequential randomized form's packed bits with an array header a block
+    bound = 3 * 8 * rows + 4 * 8 * step * n
+    if auction == "random" and not ranged:
+        bound += rows * (-(-n // 8)) + blocks * 512
+    assert bound < rows * n // 2
+    assert peak < bound, (peak, bound)
 
 
 def test_random_draws_reach_offer_probability_one():
