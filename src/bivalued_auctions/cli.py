@@ -6,6 +6,13 @@ byte-identical output; Monte Carlo randomness is fully determined by --seed.
 Each subcommand is declared once, in build_parser: its subparser carries the
 command's domain check and row builder as the defaults `domain` and `rows`.
 
+`main` may be called many times in one process.  The parser is built on the
+first call, not at import, and every later call and every `batch` reuse it;
+each call looks its row builder up on this module by name, so a builder
+replaced here, before the build or after it, is the one that runs.  In-process
+callers, `batch` and the tests gain; a one-shot run builds the parser once
+either way.
+
 Four commands load numpy: `sweep --auction derand`, `dist-d`, `mc` and
 `block-check`.  Their row builders import analysis when they run (the
 derand sweep through certify.worst_case_sweep), so a process that runs only
@@ -19,6 +26,7 @@ invariant (the regression alarm, wired to the identity checks).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
@@ -63,6 +71,19 @@ def _add_output_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--output", default=None, help="write to this file instead of stdout")
 
 
+def _row_builder(name: str):
+    """This module's row builder `name`, looked up each time it runs.
+
+    One parser serves every call in a process, so it holds names, not
+    functions: a builder replaced on this module, before the build or after
+    it, is the one the next call runs."""
+    def rows(ns: argparse.Namespace) -> list[dict]:
+        return globals()[name](ns)
+
+    rows.__name__ = name
+    return rows
+
+
 def build_parser() -> _Parser:
     parser = _Parser(
         prog="bivalued-auctions",
@@ -85,7 +106,7 @@ def build_parser() -> _Parser:
     _add_output_flags(sp)
     sp.set_defaults(
         domain=lambda ns: certify.check_sweep(AuctionParams(ns.n, ns.h), ns.auction, ns.limit),
-        rows=_sweep_rows,
+        rows=_row_builder("_sweep_rows"),
     )
 
     sp = sub.add_parser("demo-dop", help="exhibit the deterministic-offer failure ratio h")
@@ -94,14 +115,14 @@ def build_parser() -> _Parser:
     _add_output_flags(sp)
     sp.set_defaults(
         domain=lambda ns: certify.check_demo(ns.h, ns.n),
-        rows=_demo_dop_rows,
+        rows=_row_builder("_demo_dop_rows"),
     )
 
     sp = sub.add_parser("dist-d", help="exact expectation identities under the hard distribution")
     sp.add_argument("--n", type=_positive_int, required=True)
     sp.add_argument("--h", type=_h_value, required=True)
     _add_output_flags(sp)
-    sp.set_defaults(domain=_dist_d_domain, rows=_dist_d_rows)
+    sp.set_defaults(domain=_dist_d_domain, rows=_row_builder("_dist_d_rows"))
 
     sp = sub.add_parser("mc", help="Monte Carlo revenue estimates under the hard distribution")
     sp.add_argument("--n", type=_positive_int, required=True)
@@ -111,7 +132,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--seed", type=_seed_value, required=True)
     sp.add_argument("--threads", type=_positive_int, help="defaults to every core")
     _add_output_flags(sp)
-    sp.set_defaults(domain=_mc_domain, rows=_mc_rows)
+    sp.set_defaults(domain=_mc_domain, rows=_row_builder("_mc_rows"))
 
     sp = sub.add_parser("block-check", help="verify derandomized offer block structure on every vector")
     sp.add_argument("--n", type=_positive_int, required=True)
@@ -120,7 +141,7 @@ def build_parser() -> _Parser:
     _add_output_flags(sp)
     sp.set_defaults(
         domain=lambda ns: certify.check_block_sweep(AuctionParams(ns.n, ns.h), ns.limit),
-        rows=_block_check_rows,
+        rows=_row_builder("_block_check_rows"),
     )
 
     sp = sub.add_parser("expectation", help="exact expected revenue of the randomized auction")
@@ -129,7 +150,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--bids", default=None,
                     help="H/L string for one vector; omit for the full per-count table")
     _add_output_flags(sp)
-    sp.set_defaults(domain=_expectation_domain, rows=_expectation_rows)
+    sp.set_defaults(domain=_expectation_domain, rows=_row_builder("_expectation_rows"))
 
     sp = sub.add_parser("batch", help="run a JSON array of experiment configs, one aggregated report")
     sp.add_argument("config", help="path to a JSON array of config objects")
@@ -138,7 +159,7 @@ def build_parser() -> _Parser:
                     help="default enumeration cap for entries that do not set one")
     _add_output_flags(sp)
     # _batch_rows checks each entry's domain before any entry runs
-    sp.set_defaults(domain=lambda ns: None, rows=_batch_rows)
+    sp.set_defaults(domain=lambda ns: None, rows=_row_builder("_batch_rows"))
 
     return parser
 
@@ -343,7 +364,7 @@ def _batch_rows(args: argparse.Namespace) -> list[dict]:
             raise ValueError(f"{args.config}: parse failure: nested too deeply") from None
     if not isinstance(entries, list):
         raise ValueError(f"{args.config}: top level must be a JSON array")
-    commands = next(a for a in build_parser()._actions if a.dest == "command").choices
+    commands = next(a for a in _parser()._actions if a.dest == "command").choices
     subparsers = {name: sp for name, sp in commands.items() if name != "batch"}
     # Validate everything, domains included, before running anything: one
     # bad entry must fail the whole batch at once, with no partial output.
@@ -374,9 +395,17 @@ def _expectation_domain(ns: argparse.Namespace) -> None:
                          f"{EXPECTATION_N_LIMIT}; pass --bids for one vector")
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser every call in this process shares, built on the first.
+
+    Parsing leaves no state on it: each parse_args builds a new Namespace,
+    and --help makes a new formatter, which reads the terminal width then."""
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         args.domain(args)
         rows = args.rows(args)
