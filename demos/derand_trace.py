@@ -27,7 +27,7 @@ def trace(text, h):
         )
     print(f"  revenue {schedule.revenue}, OPT {offline_optimal(b)}")
     check = block_structure_check(b)
-    print(f"  block structure ok: {check.ok}")
+    print(f"  block structure ok: {check is None}")
     print()
 
 
@@ -40,4 +40,4 @@ trace("HHHHHHLLL", 3)
 b = BidVector.from_string(AuctionParams(6, 2), "HHHHHH")
 good = derand_run(b).offers
 bad = (1,) + good[1:]
-print("tampered schedule:", block_structure_check(b, bad).violation)
+print("tampered schedule:", block_structure_check(b, bad))

@@ -2,12 +2,16 @@
 
 Bidders value an unlimited-supply good at either 1 or h.  The package
 implements the classic deterministic optimal-price auction, its threshold
-variant, a randomized bid-independent auction whose expected revenue trails
-the fixed-price benchmark max(n, h*n_high) by O(sqrt(n*h)), and a modular
-derandomization with the same guarantee per vector.  The analysis layer
-certifies both directions of the bound: exact worst-case sweeps over every
-bid vector, class by class, for the upper side, exact binomial identities
-under the hard i.i.d. distribution for the lower side.
+variant, a randomized bid-independent auction, and its modular
+derandomization, and measures how far each trails the fixed-price benchmark
+max(n, h*n_high).  It certifies both directions exactly: worst-case sweeps
+over every bid vector, class by class, for the upper side, and binomial
+identities under the hard i.i.d. distribution for the lower side.  The
+sqrt(n*h) bounds hold where the tests pin them, not everywhere: the
+randomized auction's expected loss is at most (3/2) sqrt(n*h) for n <= 14
+with h in {2, 3, 4}, and it loses h - 1 at n = 1; the derandomization's
+worst loss is at most sqrt(63/8) sqrt(n*h) for n <= 20 on its grid, and
+reaches 5.48 sqrt(n*h) at (n, h) = (1000, 50).
 
 Each public name is imported from its home module on first use, so
 importing the package loads no numpy; only the names that live in analysis
@@ -20,7 +24,6 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "analysis": (
-        "BlockCheckResult",
         "BlockViolation",
         "DistributionDReport",
         "bid_independence_violations",
@@ -44,7 +47,6 @@ _EXPORTS = {
         "expected_revenue_by_count",
         "offer_probability_by_count",
         "offer_rule",
-        "random_auction_exact_expectation",
         "random_auction_run",
         "random_offer_probability",
         "require_divisible",
@@ -64,7 +66,6 @@ _EXPORTS = {
         "BidVector",
         "MaskedBidVector",
         "OfferSchedule",
-        "all_vectors",
         "count_high",
         "count_high_excluding",
         "offline_optimal",

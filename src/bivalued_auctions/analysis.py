@@ -1,15 +1,16 @@
 """Certification machinery that needs numpy.
 
-Everything here walks arrays: the derandomized worst case by (k, S) pairs,
-the enumerated sweep that is the tests' reference for every worst case, the
-block-structure verifier of the derandomized offers, the bid-independence
-sweep, the exact expectation identities under the hard i.i.d. bid
-distribution (high with probability 1/h), which sum the count kernel, and
-Monte Carlo estimates with per-chunk seed streams.
+Everything here walks arrays: the enumerated sweep that is the tests'
+reference for every worst case, the block-structure verifier of the
+derandomized offers, the bid-independence sweep, the exact expectation
+identities under the hard i.i.d. bid distribution (high with probability
+1/h), which sum the count kernel, and Monte Carlo estimates with per-chunk
+seed streams.
 
 The numpy-free half lives in certify: the limits and domain checks, the
-identity error, the per-vector loss, the class-by-class worst case and the
-DOP demo.  Every name of it is re-exported here, so analysis.X is certify.X.
+identity error, the per-vector loss and the whole worst-case sweep, the
+derandomized (k, S) scan included.  Imports go one way: this module reads
+certify, and certify never imports this one.
 
 All identity work is exact (Fraction / SurdSum); floating point only ever
 appears in Monte Carlo summaries, which carry standard errors.
@@ -22,7 +23,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, exp, lcm, sqrt
+from math import comb, exp, sqrt
 from typing import Optional
 
 import numpy as np
@@ -36,29 +37,18 @@ from .auctions import (  # AUCTION_NAMES stays readable as analysis.AUCTION_NAME
     _offer_threshold_by_count,
     require_divisible,
 )
-from .certify import (  # re-exported: analysis.X is certify.X
+from .certify import (
     DEFAULT_ENUMERATION_LIMIT,
-    DEMO_N_LIMIT,
-    ENUMERATION_CAP,
-    KERNEL_HN_LIMIT,
-    MC_N_LIMIT,
-    MC_SAMPLES_LIMIT,
     IdentityCheckError,
     Loss,
     LossProfile,
     _check_sweep_args,
-    _dop_demo,
-    _lex_least,
     _normalize,
     _require_enumerable,
-    _require_kernel_domain,
-    additive_loss,
+    additive_loss,  # perfbench reads it as analysis.additive_loss
     check_block_sweep,
-    check_demo,
     check_monte_carlo,
-    check_sweep,
-    dop_unboundedness_demo,
-    worst_case_sweep,
+    worst_case_sweep,  # perfbench reads and traces it as analysis.worst_case_sweep
 )
 from .core import LOW_VALUE, AuctionParams, BidVector, count_high
 from .core import revenue_by_offer_counts
@@ -71,10 +61,6 @@ _MC_CHUNK = 1 << 14
 # of 2**19 draws ran no faster and raised sample-hard's peak RSS by 8 MB.
 _MC_BLOCK_DRAWS = 1 << 18
 _NEG_INF = np.int64(-(1 << 60))
-# (k, S) pairs per block of the derandomized sweep, which bounds its arrays
-# whatever the S range of a class.  Blocks of 2**13 int64 pairs stay in a
-# core's cache: at 2**16 the large-n sweeps ran about twice as long.
-_SUM_BLOCK = 1 << 13
 # Masks per range of everything that walks all 2**n vectors.
 _MASK_RANGE = 1 << 16
 
@@ -98,69 +84,6 @@ def _map_chunks(fn, jobs: list, threads: Optional[int]) -> list:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, jobs))
     return [fn(job) for job in jobs]
-
-
-# ---------------------------------------------------------------------------
-# The derandomized worst case by (k, S)
-# ---------------------------------------------------------------------------
-
-
-def _sum_blocks(n: int, h: int):
-    """The (k, S) pairs that the derandomized sweep scans, in blocks of at
-    most _SUM_BLOCK pairs, each a list of (k, first S, count) pieces.
-
-    Class k's revenue is periodic in S with period lcm(B(k), B(k-1)), so the
-    top period of its S range holds its maximum and the largest S attaining
-    it.  A block holds a run of whole top periods; a class whose top period
-    exceeds _SUM_BLOCK is cut into slices of its own, in increasing S.
-    """
-    moduli = enumeration.derand_classes(n, h)[0].tolist()
-    block, size = [], 0
-    for k in range(n + 1):
-        top = k * (2 * n - k + 1) // 2
-        first = max(k * (k + 1) // 2, top + 1 - lcm(moduli[k], moduli[max(k - 1, 0)]))
-        count = top + 1 - first
-        if block and size + count > _SUM_BLOCK:
-            yield block
-            block, size = [], 0
-        if count > _SUM_BLOCK:
-            for start in range(first, top + 1, _SUM_BLOCK):
-                yield [(k, start, min(_SUM_BLOCK, top + 1 - start))]
-        else:
-            block.append((k, first, count))
-            size += count
-    if block:
-        yield block
-
-
-def _derand_worst_by_class(n: int, h: int) -> tuple[dict[int, int], dict[int, int]]:
-    """Per class k of the derandomized auction at (n, h): its worst loss, and
-    the largest high-index sum S that attains it.
-
-    Only the top period of each class's S range is scanned (_sum_blocks),
-    the classes laid end to end in shared blocks of at most _SUM_BLOCK
-    pairs, one derand_revenues call and one segmented reduction per block.
-    """
-    per_nh: dict[int, int] = {}
-    worst_sum: dict[int, int] = {}
-    for block in _sum_blocks(n, h):
-        classes, firsts, counts = (np.array(column) for column in zip(*block))
-        starts = np.cumsum(counts) - counts
-        pairs = int(counts.sum())
-        index = np.arange(pairs)
-        # a block of one class passes k as a scalar: numpy divides by one
-        # modulus several times faster than by an array of them
-        k = classes[0] if len(block) == 1 else np.repeat(classes, counts)
-        sums = index + np.repeat(firsts - starts, counts)
-        losses = np.maximum(n, h * k) - enumeration.derand_revenues(k, sums, n, h)
-        # keys order a class's pairs by loss, then by S (exactly, as
-        # |loss| <= h*n), so its largest key is its worst loss at its
-        # largest worst S
-        worst, last = np.divmod(np.maximum.reduceat(losses * pairs + index, starts), pairs)
-        for k, loss, index_sum in zip(classes.tolist(), worst.tolist(), sums[last].tolist()):
-            if k not in per_nh or loss >= per_nh[k]:  # ties move to the larger S
-                per_nh[k], worst_sum[k] = loss, index_sum
-    return per_nh, worst_sum
 
 
 # ---------------------------------------------------------------------------
@@ -250,14 +173,11 @@ class BlockViolation:
     partial: bool
 
 
-@dataclass(frozen=True)
-class BlockCheckResult:
-    ok: bool
-    violation: Optional[BlockViolation]
-
-
-def block_structure_check(b: BidVector, offers: Optional[tuple[int, ...]] = None) -> BlockCheckResult:
-    """Verify the combinatorial structure of the derandomized offers on b.
+def block_structure_check(
+    b: BidVector, offers: Optional[tuple[int, ...]] = None
+) -> Optional[BlockViolation]:
+    """The first block of the derandomized offers on b that breaks their
+    combinatorial structure, or None when every block holds.
 
     Walking same-class bidders in index order steps the modular hash by +-1,
     so every full window of b_val consecutive same-class bidders must contain
@@ -284,11 +204,8 @@ def block_structure_check(b: BidVector, offers: Optional[tuple[int, ...]] = None
             partial = len(block) < b_val
             bad = got > a_plus if partial else got != a_plus
             if bad:
-                return BlockCheckResult(
-                    False,
-                    BlockViolation(bidder_class, block_index, block, got, a_plus, partial),
-                )
-    return BlockCheckResult(True, None)
+                return BlockViolation(bidder_class, block_index, block, got, a_plus, partial)
+    return None
 
 
 def _block_failures(high: np.ndarray, offered_h: np.ndarray, h: int) -> np.ndarray:
@@ -347,10 +264,10 @@ def block_structure_sweep(
             col = failing[0]
             b = BidVector(params, lo + int(col))
             offers = tuple(np.where(offered_h[:, col], h, LOW_VALUE).tolist())
-            result = block_structure_check(b, offers=offers)
-            if result.ok:
+            violation = block_structure_check(b, offers=offers)
+            if violation is None:
                 raise IdentityCheckError("derand-block-kernel-agrees-with-scalar-check", b.to_string())
-            return b.mask + 1, (b, result.violation)
+            return b.mask + 1, (b, violation)
     return 1 << n, None
 
 

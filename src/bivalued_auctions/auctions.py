@@ -17,7 +17,6 @@ from .core import (
     BidVector,
     MaskedBidVector,
     OfferSchedule,
-    count_high,
     count_high_excluding,
     revenue_by_offer_counts,
     settle,
@@ -117,10 +116,6 @@ def expected_revenue_by_count(n: int, h: int, n_high: int) -> SurdSum:
     low = (n - n_high) * offer_probability_by_count(n, h, n_high)
     high = n_high * offer_probability_by_count(n, h, max(n_high - 1, 0))
     return revenue_by_offer_counts(n, h, low, high)
-
-
-def random_auction_exact_expectation(b: BidVector) -> SurdSum:
-    return expected_revenue_by_count(b.n, b.h, count_high(b))
 
 
 @lru_cache(maxsize=None)

@@ -1,17 +1,20 @@
-"""The certifier's numpy-free half.
+"""The certifier's numpy-free half, which owns the whole worst-case sweep.
 
 The domain limits and checks of every command, the identity error, the
 per-vector loss, the class-by-class worst case and the DOP demo.  DOP,
 threshold-DOP and the randomized auction lose the same on every vector with
 k high bids, so their worst case reads one int or SurdSum per class and no
-array.  Only the derandomized sweep scans (k, S) pairs with numpy; that scan
-lives in analysis, which worst_case_sweep imports for that auction alone.
+array.  Only the derandomized sweep scans (k, S) pairs with numpy: its scan,
+_derand_worst_by_class, imports numpy and enumeration when it runs, so
+importing this module loads neither.  Nothing here imports analysis, which
+imports from here the names it uses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Union
 
 from .auctions import (
@@ -189,7 +192,7 @@ def worst_case_sweep(
     auction's revenue depends on k and on S, the sum of the high bidders'
     indices, and every S in [k(k+1)/2, k(2n-k+1)/2] occurs, so its worst
     case is a maximum over at most n**3/6 (k, S) pairs, which
-    analysis._derand_worst_by_class scans.  Each class k keeps its worst
+    _derand_worst_by_class scans.  Each class k keeps its worst
     loss and the largest S that attains it, the top sum when the loss
     depends on k alone.  The witness is the lexicographically least worst
     vector: the greedy lex-least vector of an index sum falls strictly in
@@ -203,9 +206,7 @@ def worst_case_sweep(
     check_sweep(params, auction, limit)
 
     if auction == "derand":
-        from . import analysis  # the (k, S) scan is the sweep's only numpy
-
-        per_nh, worst_sum = analysis._derand_worst_by_class(n, h)
+        per_nh, worst_sum = _derand_worst_by_class(n, h)
     else:
         per_nh, worst_sum = {}, {}
         for k in range(n + 1):
@@ -222,6 +223,74 @@ def worst_case_sweep(
     return LossProfile(
         params, auction, per_nh, global_worst, witness, _normalize(global_worst, n, h)
     )
+
+
+# (k, S) pairs per block of the derandomized sweep, which bounds its arrays
+# whatever the S range of a class.  Blocks of 2**13 int64 pairs stay in a
+# core's cache: at 2**16 the large-n sweeps ran about twice as long.
+_SUM_BLOCK = 1 << 13
+
+
+def _sum_blocks(n: int, moduli: list[int]):
+    """The (k, S) pairs that the derandomized sweep scans, in blocks of at
+    most _SUM_BLOCK pairs, each a list of (k, first S, count) pieces;
+    moduli[k] is the class modulus B(k).
+
+    Class k's revenue is periodic in S with period lcm(B(k), B(k-1)), so the
+    top period of its S range holds its maximum and the largest S attaining
+    it.  A block holds a run of whole top periods; a class whose top period
+    exceeds _SUM_BLOCK is cut into slices of its own, in increasing S.
+    """
+    block, size = [], 0
+    for k in range(n + 1):
+        top = k * (2 * n - k + 1) // 2
+        first = max(k * (k + 1) // 2, top + 1 - lcm(moduli[k], moduli[max(k - 1, 0)]))
+        count = top + 1 - first
+        if block and size + count > _SUM_BLOCK:
+            yield block
+            block, size = [], 0
+        if count > _SUM_BLOCK:
+            for start in range(first, top + 1, _SUM_BLOCK):
+                yield [(k, start, min(_SUM_BLOCK, top + 1 - start))]
+        else:
+            block.append((k, first, count))
+            size += count
+    if block:
+        yield block
+
+
+def _derand_worst_by_class(n: int, h: int) -> tuple[dict[int, int], dict[int, int]]:
+    """Per class k of the derandomized auction at (n, h): its worst loss, and
+    the largest high-index sum S that attains it.
+
+    Only the top period of each class's S range is scanned (_sum_blocks),
+    the classes laid end to end in shared blocks of at most _SUM_BLOCK
+    pairs, one derand_revenues call and one segmented reduction per block.
+    """
+    import numpy as np
+
+    from . import enumeration
+
+    per_nh: dict[int, int] = {}
+    worst_sum: dict[int, int] = {}
+    for block in _sum_blocks(n, enumeration.derand_classes(n, h)[0].tolist()):
+        classes, firsts, counts = (np.array(column) for column in zip(*block))
+        starts = np.cumsum(counts) - counts
+        pairs = int(counts.sum())
+        index = np.arange(pairs)
+        # a block of one class passes k as a scalar: numpy divides by one
+        # modulus several times faster than by an array of them
+        k = classes[0] if len(block) == 1 else np.repeat(classes, counts)
+        sums = index + np.repeat(firsts - starts, counts)
+        losses = np.maximum(n, h * k) - enumeration.derand_revenues(k, sums, n, h)
+        # keys order a class's pairs by loss, then by S (exactly, as
+        # |loss| <= h*n), so its largest key is its worst loss at its
+        # largest worst S
+        worst, last = np.divmod(np.maximum.reduceat(losses * pairs + index, starts), pairs)
+        for k, loss, index_sum in zip(classes.tolist(), worst.tolist(), sums[last].tolist()):
+            if k not in per_nh or loss >= per_nh[k]:  # ties move to the larger S
+                per_nh[k], worst_sum[k] = loss, index_sum
+    return per_nh, worst_sum
 
 
 # ---------------------------------------------------------------------------

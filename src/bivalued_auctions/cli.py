@@ -14,10 +14,11 @@ callers, `batch` and the tests gain; a one-shot run builds the parser once
 either way.
 
 Four commands load numpy: `sweep --auction derand`, `dist-d`, `mc` and
-`block-check`.  Their row builders import analysis when they run (the
-derand sweep through certify.worst_case_sweep), so a process that runs only
-`expectation`, `demo-dop` and the dop, threshold-dop and random sweeps
-never imports numpy; every domain check, batch's included, is numpy-free.
+`block-check`.  The last three import analysis when their row builders run;
+the derand sweep's certify.worst_case_sweep imports numpy and enumeration,
+not analysis.  So a process that runs only `expectation`, `demo-dop` and
+the dop, threshold-dop and random sweeps never imports numpy; every domain
+check, batch's included, is numpy-free.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 violated exact
 invariant (the regression alarm, wired to the identity checks).

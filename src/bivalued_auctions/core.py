@@ -10,7 +10,7 @@ enumeration cheap without capping n.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 LOW_VALUE = 1
 
@@ -176,9 +176,3 @@ def revenue_by_offer_counts(n: int, h: int, low_offered_h, high_offered_h):
     bidder offered h pays h.
     """
     return n - low_offered_h + (h - 1) * high_offered_h
-
-
-def all_vectors(params: AuctionParams) -> Iterable[BidVector]:
-    """Every bid vector for params, in mask order."""
-    for mask in range(1 << params.n):
-        yield BidVector(params, mask)

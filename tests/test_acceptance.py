@@ -5,6 +5,10 @@ pass/fail line for each.  Measured constants (the pinned per-point losses,
 the grid constant C, the lemma constant C_r, the Monte Carlo seed) were
 produced by the first full run of the corresponding sweep and are frozen
 here; any regression is an exact-integer or exact-rational mismatch.
+
+Below the criteria, points outside criteria 3 and 9's domains are pinned
+where the worst loss exceeds their constants, each by two routes: the sweep,
+and the scalar rule on the sweep's witness.  README's table lists them.
 """
 
 from __future__ import annotations
@@ -19,15 +23,18 @@ from bivalued_auctions import (
     AuctionParams,
     BidVector,
     SurdSum,
+    additive_loss,
     analysis,
     bid_independence_violations,
     block_structure_sweep,
+    derand_run,
     dop_unboundedness_demo,
     exact_e_dop_under_d,
     exact_e_opt_under_d,
     expected_revenue_by_count,
     lower_bound_gap,
     monte_carlo_under_d,
+    offline_optimal,
     random_offer_probability,
     worst_case_sweep,
 )
@@ -193,6 +200,29 @@ def test_criterion_09_randomized_auction_lemma():
                 if loss == bound_unit:
                     attained = True
     assert attained
+
+
+@pytest.mark.parametrize("n, h, loss, normalized", [(50, 50, 147, "2.94"), (200, 50, 343, "3.43")])
+def test_derand_loss_above_the_grid_constant(n, h, loss, normalized):
+    """Beyond criterion 3's grid (n <= 20) the derandomized auction loses more
+    than C sqrt(n h), C = sqrt(63/8) ~ 2.81."""
+    profile = worst_case_sweep(AuctionParams(n, h), "derand", limit=n)
+    assert profile.global_worst == loss
+    assert profile.normalized == Fraction(normalized)  # n h is a square here
+    witness = profile.witness
+    assert offline_optimal(witness) - derand_run(witness).revenue == loss
+    assert Fraction(loss * loss, n * h) > PINNED_C_SQUARED
+
+
+def test_random_loss_above_the_lemma_constant():
+    """Beyond criterion 9's domain (h <= 4) the randomized auction loses more
+    than C_r sqrt(n h): 98.1 = 3.10 sqrt(n h) at (10, 100), on one high bid."""
+    n, h = 10, 100
+    profile = worst_case_sweep(AuctionParams(n, h), "random")
+    assert profile.global_worst == Fraction(981, 10)
+    assert additive_loss(profile.witness, "random") == profile.global_worst
+    assert profile.normalized > PINNED_C_R
+    assert profile.normalized.to_decimal(2) == "3.10"
 
 
 def test_criterion_10_cli_determinism(capsys, monkeypatch):

@@ -15,7 +15,6 @@ from bivalued_auctions import (
     IdentityCheckError,
     SurdSum,
     additive_loss,
-    all_vectors,
     bid_independence_violations,
     block_structure_sweep,
     check_distribution_identities,
@@ -139,7 +138,7 @@ class TestWorstCaseSweep:
 
     @pytest.mark.parametrize("h", range(2, 10))
     def test_sum_blocks_change_nothing(self, monkeypatch, h):
-        monkeypatch.setattr(analysis, "_SUM_BLOCK", 3)
+        monkeypatch.setattr(certify, "_SUM_BLOCK", 3)
         for n in range(1, 13):
             p = AuctionParams(n, h)
             assert worst_case_sweep(p, "derand") == analysis.enumerated_sweep(p, "derand"), n
@@ -155,7 +154,7 @@ class TestWorstCaseSweep:
     @pytest.mark.parametrize("h", [2, 3, 5, 7, 10, 20, 100])
     def test_derand_matches_a_scan_of_every_sum(self, monkeypatch, block, sizes, h):
         if block:
-            monkeypatch.setattr(analysis, "_SUM_BLOCK", block)
+            monkeypatch.setattr(certify, "_SUM_BLOCK", block)
         for n in sizes:
             per_k, witness = oracles.derand_full_range_sweep(
                 n, h, lambda k, sums: derand_revenues(k, np.array(sums), n, h)
@@ -187,16 +186,17 @@ class TestWorstCaseSweep:
     @pytest.mark.parametrize("auction", ["dop", "derand"])
     def test_largest_accepted_h_matches_scalar(self, auction):
         n = 4
-        p = AuctionParams(n, analysis.KERNEL_HN_LIMIT // n)
+        p = AuctionParams(n, certify.KERNEL_HN_LIMIT // n)
         want: dict[int, int] = {}
-        for b in all_vectors(p):
+        for mask in range(1 << n):
+            b = BidVector(p, mask)
             loss = additive_loss(b, auction)
             want[count_high(b)] = max(want.get(count_high(b), loss), loss)
         assert worst_case_sweep(p, auction).per_nh_worst == want
 
     def test_beyond_int64_domain_rejected(self):
         n = 4
-        p = AuctionParams(n, analysis.KERNEL_HN_LIMIT // n + 1)
+        p = AuctionParams(n, certify.KERNEL_HN_LIMIT // n + 1)
         assert additive_loss(BidVector.from_string(p, "HHLL"), "dop") == 0
         calls = [
             lambda: worst_case_sweep(p, "dop"),
@@ -229,7 +229,7 @@ class TestDopUnboundedness:
         assert dop_unboundedness_demo(10, 100) == 10
 
     def test_n_beyond_the_demo_limit_rejected(self):
-        for h, n in ((1 << 62, None), (2, analysis.DEMO_N_LIMIT + 2)):
+        for h, n in ((1 << 62, None), (2, certify.DEMO_N_LIMIT + 2)):
             with pytest.raises(ValueError, match="demo limit"):
                 dop_unboundedness_demo(h, n)
 
@@ -321,7 +321,7 @@ class TestBlockSweep:
             (analysis.enumeration, "mask_array"),
         ):
             monkeypatch.setattr(owner, name, forbidden)
-        p = AuctionParams(analysis.ENUMERATION_CAP + 1, 2)
+        p = AuctionParams(certify.ENUMERATION_CAP + 1, 2)
         calls = [
             lambda: block_structure_sweep(p, limit=64),
             lambda: bid_independence_violations(p, "derand", limit=64),
@@ -412,9 +412,9 @@ def _scalar_block_sweep(p: AuctionParams):
     for lo, hi in analysis._mask_ranges(p.n):
         high = analysis.enumeration.high_matrix(analysis.enumeration.mask_array(lo, hi), p.n)
         offered_h = analysis.enumeration.offers_for_bidder(high, p.h, "derand")
-        for mask, result in enumerate(_scalar_checks(p, lo, offered_h), start=lo):
-            if not result.ok:
-                return mask + 1, (BidVector(p, mask), result.violation)
+        for mask, violation in enumerate(_scalar_checks(p, lo, offered_h), start=lo):
+            if violation is not None:
+                return mask + 1, (BidVector(p, mask), violation)
     return 1 << p.n, None
 
 
@@ -450,7 +450,7 @@ class TestVectorBlockCheck:
                 masks = analysis.enumeration.mask_array(0, 1 << n)
                 high = analysis.enumeration.high_matrix(masks, n)
                 offered_h = analysis.enumeration.offers_for_bidder(high, h, "derand")
-                want = [not r.ok for r in _scalar_checks(AuctionParams(n, h), 0, offered_h)]
+                want = [v is not None for v in _scalar_checks(AuctionParams(n, h), 0, offered_h)]
                 got = analysis._block_failures(high, offered_h, h)
                 assert got.tolist() == want, (n, h)
                 failures += sum(want)
@@ -475,9 +475,10 @@ class TestVectorBlockCheckSampled:
             offered_h ^= rng.random(offered_h.shape) < 0.02
         p = AuctionParams(n, h)
         want = [
-            not analysis.block_structure_check(
+            analysis.block_structure_check(
                 BidVector(p, int(mask)), offers=tuple(np.where(column, h, 1).tolist())
-            ).ok
+            )
+            is not None
             for mask, column in zip(masks, offered_h.T)
         ]
         got = analysis._block_failures(high, offered_h, h)

@@ -20,7 +20,6 @@ from bivalued_auctions import (
     expected_revenue_by_count,
     offer_probability_by_count,
     offline_optimal,
-    random_auction_exact_expectation,
     random_auction_run,
     random_offer_probability,
     run_auction,
@@ -122,12 +121,12 @@ class TestOfferProbability:
 class TestExactExpectation:
     def test_all_low_is_n(self):
         b = vector(6, 3, "LLLLLL")
-        assert random_auction_exact_expectation(b) == 6
+        assert expected_revenue_by_count(b.n, b.h, count_high(b)) == 6
 
     def test_boundary_count_equals_opt(self):
         p = AuctionParams(100, 10)
         b = BidVector(p, (1 << 10) - 1)
-        assert random_auction_exact_expectation(b) == 100
+        assert expected_revenue_by_count(b.n, b.h, count_high(b)) == 100
         assert offline_optimal(b) == 100
 
     def test_small_counts_handled_directly(self):

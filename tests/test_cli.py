@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bivalued_auctions import analysis, cli
+from bivalued_auctions import analysis, certify, cli
 from bivalued_auctions.cli import main
 from bivalued_auctions.reports import CSV_COLUMNS
 
@@ -179,17 +179,17 @@ class TestExitCodes:
             assert err.startswith("error:") and "10**4300" in err
 
     def test_monte_carlo_n_limit_is_one(self, capsys):
-        n = analysis.MC_N_LIMIT + 1
+        n = certify.MC_N_LIMIT + 1
         code, out, err = run_cli(
             capsys, "mc", "--n", str(n), "--h", "2", "--auction", "dop",
             "--samples", "1", "--seed", "1",
         )
         assert code == 1 and out == ""
-        assert err == f"error: n={n} exceeds the Monte Carlo limit {analysis.MC_N_LIMIT}\n"
+        assert err == f"error: n={n} exceeds the Monte Carlo limit {certify.MC_N_LIMIT}\n"
 
     def test_monte_carlo_samples_limit_is_one(self, capsys):
-        analysis.check_monte_carlo(4, 2, "dop", analysis.MC_SAMPLES_LIMIT)
-        for samples in (analysis.MC_SAMPLES_LIMIT + 1, 10**18):
+        certify.check_monte_carlo(4, 2, "dop", certify.MC_SAMPLES_LIMIT)
+        for samples in (certify.MC_SAMPLES_LIMIT + 1, 10**18):
             code, out, err = run_cli(
                 capsys, "mc", "--n", "4", "--h", "2", "--auction", "dop",
                 "--samples", str(samples), "--seed", "1", "--threads", "1",
@@ -197,7 +197,7 @@ class TestExitCodes:
             assert code == 1 and out == ""
             assert err == (
                 f"error: samples={samples} exceeds the Monte Carlo limit "
-                f"{analysis.MC_SAMPLES_LIMIT}\n"
+                f"{certify.MC_SAMPLES_LIMIT}\n"
             )
 
     def test_expectation_table_limit_is_one(self, capsys, monkeypatch):

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from bivalued_auctions import (
     AuctionParams,
     BidVector,
-    all_vectors,
     count_high,
     count_high_excluding,
     offline_optimal,
@@ -147,12 +146,6 @@ def test_masked_count_identity(n, h, data):
     for i in range(1, n + 1):
         expected = count_high(b) - (1 if b.is_high(i) else 0)
         assert count_high_excluding(b.mask_bidder(i)) == expected
-
-
-def test_all_vectors_enumerates_exactly_once():
-    p = AuctionParams(4, 2)
-    seen = {b.mask for b in all_vectors(p)}
-    assert seen == set(range(16))
 
 
 @given(st.integers(1, 8), st.data())

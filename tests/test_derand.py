@@ -121,21 +121,18 @@ class TestRun:
 
 class TestBlockStructure:
     def test_all_low_vacuous(self):
-        result = block_structure_check(vector(5, 2, "LLLLL"))
-        assert result.ok and result.violation is None
+        assert block_structure_check(vector(5, 2, "LLLLL")) is None
 
     def test_all_high_blocks(self):
         # one full block of 4 high bidders, exactly a+ = 2 get h
-        result = block_structure_check(vector(4, 2, "HHHH"))
-        assert result.ok
+        assert block_structure_check(vector(4, 2, "HHHH")) is None
 
     def test_detects_corrupted_offer(self):
         b = vector(4, 2, "HHHH")
         good = list(derand_run(b).offers)
         bad = tuple(1 if o == 2 else 2 for o in good[:1]) + tuple(good[1:])
-        result = block_structure_check(b, offers=bad)
-        assert not result.ok
-        v = result.violation
+        v = block_structure_check(b, offers=bad)
+        assert v is not None
         assert v.bidder_class == "high"
         assert v.block_index == 0
         assert v.offered_high != v.expected
@@ -143,10 +140,10 @@ class TestBlockStructure:
     def test_partial_block_only_bounded_above(self):
         # 5 high bidders at h=2: b_val = ceil(2 sqrt 4) = 4, trailing block of 1
         b = vector(5, 2, "HHHHH")
-        assert block_structure_check(b).ok
+        assert block_structure_check(b) is None
 
     @pytest.mark.parametrize("n,h", [(10, 2), (10, 3), (9, 4), (12, 2)])
     def test_exhaustive_small(self, n, h):
         p = AuctionParams(n, h)
         for mask in range(1 << n):
-            assert block_structure_check(BidVector(p, mask)).ok
+            assert block_structure_check(BidVector(p, mask)) is None

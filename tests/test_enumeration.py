@@ -18,7 +18,8 @@ from bivalued_auctions import (
     offer_rule,
     run_auction,
 )
-from bivalued_auctions.analysis import KERNEL_HN_LIMIT, _sample_revenues
+from bivalued_auctions.analysis import _sample_revenues
+from bivalued_auctions.certify import KERNEL_HN_LIMIT
 from bivalued_auctions.enumeration import (
     DERAND_OFFERS_N_LIMIT,
     REVENUE_KERNELS,

@@ -2,13 +2,16 @@
 
 The exact commands (`expectation`, `demo-dop` and the dop, threshold-dop and
 random sweeps) run on ints and exact numbers, so a process that runs only
-them never imports numpy.  Each case runs in a fresh interpreter, since this
-test process has numpy loaded already.  The package's names resolve lazily,
-from the module each one lives in.
+them never imports numpy.  The derandomized sweep loads numpy, but not
+analysis: certify owns the whole sweep and imports nothing from analysis.
+Each case runs in a fresh interpreter, since this test process has numpy
+loaded already.  The package's names resolve lazily, from the module each
+one lives in.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib
 import json
 import os
@@ -25,7 +28,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 PROBE = """
 import contextlib, io, sys
 {setup}
-print("numpy" in sys.modules)
+print(*(name for name in {modules!r} if name in sys.modules))
 """
 
 RUN_CLI = """
@@ -47,9 +50,14 @@ def run_fresh(code: str) -> str:
     return proc.stdout.splitlines()[-1]
 
 
+def modules_loaded(setup: str, *modules: str) -> set[str]:
+    """Which of `modules` a fresh interpreter has loaded after running `setup`."""
+    return set(run_fresh(PROBE.format(setup=setup, modules=modules)).split())
+
+
 def numpy_loaded(setup: str) -> bool:
     """Whether a fresh interpreter has numpy loaded after running `setup`."""
-    return run_fresh(PROBE.format(setup=setup)) == "True"
+    return modules_loaded(setup, "numpy") == {"numpy"}
 
 
 def cli_loads_numpy(*argv: str) -> bool:
@@ -91,8 +99,10 @@ def test_batch_of_exact_commands_loads_no_numpy(tmp_path):
 
 
 def test_derand_sweep_loads_numpy():
-    # the other side of the line: the (k, S) scan is array work
-    assert cli_loads_numpy("sweep", "--n", "12", "--h", "3", "--auction", "derand")
+    # the other side of the line: the (k, S) scan is array work, but it runs
+    # in certify, so analysis stays unloaded
+    setup = RUN_CLI.format(argv=["sweep", "--n", "12", "--h", "3", "--auction", "derand"])
+    assert modules_loaded(setup, "numpy", "bivalued_auctions.analysis") == {"numpy"}
 
 
 # ---------------------------------------------------------------------------
@@ -137,14 +147,44 @@ def test_dir_lists_every_public_name():
     assert set(bivalued_auctions.__all__) <= set(listed)
 
 
-def test_analysis_re_exports_every_certify_name():
+# ---------------------------------------------------------------------------
+# The edge between certify and analysis
+# ---------------------------------------------------------------------------
+
+CERTIFY = SRC / "bivalued_auctions" / "certify.py"
+
+
+def test_certify_imports_nothing_from_analysis():
+    tree = ast.parse(CERTIFY.read_text(encoding="utf-8"))
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    imported = [
+        name for node in imports
+        for name in (getattr(node, "module", None) or "", *(alias.name for alias in node.names))
+    ]
+    # the walk reaches the scan's imports inside its function, too
+    assert {"auctions", "enumeration", "numpy"} <= set(imported)
+    assert not any("analysis" in name.split(".") for name in imported)
+    assert "analysis" not in {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def test_analysis_binds_only_the_certify_names_it_uses():
     from bivalued_auctions import analysis, certify
 
-    defined = [
-        name for name, value in vars(certify).items()
-        if getattr(value, "__module__", None) == certify.__name__
-        or (name.isupper() and isinstance(value, int))
-    ]
-    assert {"worst_case_sweep", "check_monte_carlo", "KERNEL_HN_LIMIT"} <= set(defined)
-    for name in defined:
+    tree = ast.parse(CERTIFY.read_text(encoding="utf-8"))
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Assign):
+            defined |= {target.id for target in node.targets}
+    assert {"worst_case_sweep", "_derand_worst_by_class", "MC_N_LIMIT", "Loss"} <= defined
+    bound = defined & set(vars(analysis))
+    assert bound == {
+        "DEFAULT_ENUMERATION_LIMIT", "IdentityCheckError", "Loss", "LossProfile",
+        "_check_sweep_args", "_normalize", "_require_enumerable", "check_block_sweep",
+        "check_monte_carlo",
+        # read as analysis.X by perfbench
+        "worst_case_sweep", "additive_loss",
+    }
+    for name in bound:
         assert getattr(analysis, name) is getattr(certify, name), name
