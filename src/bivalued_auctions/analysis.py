@@ -31,6 +31,8 @@ import numpy as np
 from . import enumeration
 from .auctions import (  # AUCTION_NAMES stays readable as analysis.AUCTION_NAMES
     AUCTION_NAMES,
+    count_revenues,
+    count_threshold,
     derand_modulus,
     derand_run,
     expected_revenue_by_count,
@@ -363,8 +365,8 @@ def exact_e_dop_under_d(n: int, h: int) -> Fraction:
     from the count kernel's per-count revenues (int64 is exact: each is at
     most h*n); the bid-independence argument forces the total to equal n.
     """
-    t = enumeration.count_threshold("threshold-dop", n, h)
-    revenues = enumeration.count_revenues(np.arange(n + 1), n, h, t)
+    t = count_threshold("threshold-dop", n, h)
+    revenues = count_revenues(np.arange(n + 1), n, h, t)
     return _expectation_over_counts(n, h, revenues.tolist())
 
 
@@ -452,7 +454,7 @@ def _sample_revenues(
         high = np.unpackbits(packed, axis=1, count=n).view(bool)
         revenue[lo:hi] = _random_revenues(rng, high, k[lo:hi], h)
     if auction in ("dop", "threshold-dop"):
-        revenue = enumeration.count_revenues(k, n, h, enumeration.count_threshold(auction, n, h))
+        revenue = count_revenues(k, n, h, count_threshold(auction, n, h))
     return revenue, np.maximum(n, h * k)
 
 

@@ -1,13 +1,14 @@
 """The certifier's numpy-free half, which owns the whole worst-case sweep.
 
-The domain limits and checks of every command, the identity error, the
-per-vector loss, the class-by-class worst case and the DOP demo.  DOP,
-threshold-DOP and the randomized auction lose the same on every vector with
-k high bids, so their worst case reads one int or SurdSum per class and no
-array.  Only the derandomized sweep scans (k, S) pairs with numpy: its scan,
-_derand_worst_by_class, imports numpy and enumeration when it runs, so
-importing this module loads neither.  Nothing here imports analysis, which
-imports from here the names it uses.
+The domain limits and checks of every command (cli keeps two of its own: the
+`expectation` table limit and the printable bound of the exact fields), the
+identity error, the per-vector loss, the class-by-class worst case and the
+DOP demo.  DOP, threshold-DOP and the randomized auction lose the same on
+every vector with k high bids, so their worst case reads one int or SurdSum
+per class and no array.  Only the derandomized sweep scans (k, S) pairs
+with numpy: its scan, _derand_worst_by_class, imports numpy and enumeration
+when it runs, so importing this module loads neither.  Nothing here
+imports analysis, which imports from here the names it uses.
 """
 
 from __future__ import annotations
@@ -55,6 +56,10 @@ MC_SAMPLES_LIMIT = 1 << 30
 # h*m - n < h*n; and the largest sum, a Monte Carlo chunk's squared revenues,
 # is at most analysis._MC_CHUNK * (h*n)**2 <= 2**62.
 KERNEL_HN_LIMIT = 1 << 24
+# The randomized sweep and `expectation` print loss / sqrt(n*h) exactly, and
+# exact.square_free trial-divides n*h up to its cube root: a prime n*h just
+# below this limit takes 0.2-0.6 s, and n*h = 2 * 10**25 about half a minute.
+NORMALIZE_HN_LIMIT = 1 << 64
 
 
 class IdentityCheckError(Exception):
@@ -77,6 +82,14 @@ def _require_kernel_domain(n: int, h: int) -> None:
         )
 
 
+def _require_normalizable(n: int, h: int) -> None:
+    if h * n > NORMALIZE_HN_LIMIT:
+        raise ValueError(
+            f"h*n = {h * n} exceeds {NORMALIZE_HN_LIMIT}, the limit for normalizing "
+            "a loss by sqrt(h*n)"
+        )
+
+
 def _require_enumerable(n: int, limit: int = ENUMERATION_CAP) -> None:
     if n > ENUMERATION_CAP:
         raise ValueError(f"n={n} exceeds the enumeration cap {ENUMERATION_CAP}")
@@ -95,6 +108,8 @@ def _check_sweep_args(params: AuctionParams, auction: str) -> None:
 def check_sweep(params: AuctionParams, auction: str, limit: int) -> None:
     """Raise ValueError unless worst_case_sweep accepts these arguments."""
     _check_sweep_args(params, auction)
+    if auction == "random":  # the other sweeps stay inside KERNEL_HN_LIMIT
+        _require_normalizable(params.n, params.h)
     if params.n > limit:
         raise ValueError(f"n={params.n} exceeds enumeration limit {limit}")
 

@@ -7,11 +7,10 @@ Each subcommand is declared once, in build_parser: its subparser carries the
 command's domain check and row builder as the defaults `domain` and `rows`.
 
 `main` may be called many times in one process.  The parser is built on the
-first call, not at import, and every later call and every `batch` reuse it;
-each call looks its row builder up on this module by name, so a builder
-replaced here, before the build or after it, is the one that runs.  In-process
-callers, `batch` and the tests gain; a one-shot run builds the parser once
-either way.
+first call, not at import, and every later call and every `batch` reuse it.
+In-process callers, `batch` and the tests gain; a one-shot run builds the
+parser once either way.  `main` maps every failure, from the domain check to
+the write, to one exit code.
 
 Four commands load numpy: `sweep --auction derand`, `dist-d`, `mc` and
 `block-check`.  The last three import analysis when their row builders run;
@@ -67,24 +66,6 @@ def _seed_value(text: str) -> int:
     return value
 
 
-def _add_output_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
-    sp.add_argument("--output", default=None, help="write to this file instead of stdout")
-
-
-def _row_builder(name: str):
-    """This module's row builder `name`, looked up each time it runs.
-
-    One parser serves every call in a process, so it holds names, not
-    functions: a builder replaced on this module, before the build or after
-    it, is the one the next call runs."""
-    def rows(ns: argparse.Namespace) -> list[dict]:
-        return globals()[name](ns)
-
-    rows.__name__ = name
-    return rows
-
-
 def build_parser() -> _Parser:
     parser = _Parser(
         prog="bivalued-auctions",
@@ -92,76 +73,66 @@ def build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
+    def over_n_h(name: str, **about) -> argparse.ArgumentParser:
+        """A subcommand whose first flags are the required --n and --h."""
+        sp = sub.add_parser(name, **about)
+        sp.add_argument("--n", type=_positive_int, required=True)
+        sp.add_argument("--h", type=_h_value, required=True)
+        return sp
+
     about = (
         "worst additive loss over all bid vectors, maximized per high count k "
         "(and per high-index sum S for derand) without enumerating vectors"
     )
-    sp = sub.add_parser("sweep", help=about, description=about)
-    sp.add_argument("--n", type=_positive_int, required=True)
-    sp.add_argument("--h", type=_h_value, required=True)
+    sp = over_n_h("sweep", help=about, description=about)
     sp.add_argument("--auction", choices=AUCTION_NAMES, required=True)
     sp.add_argument("--threads", type=_positive_int,
                     help="accepted for compatibility; the sweep runs on one thread")
     sp.add_argument("--limit", type=_positive_int, default=DEFAULT_ENUMERATION_LIMIT,
                     help="largest n accepted")
-    _add_output_flags(sp)
     sp.set_defaults(
         domain=lambda ns: certify.check_sweep(AuctionParams(ns.n, ns.h), ns.auction, ns.limit),
-        rows=_row_builder("_sweep_rows"),
+        rows=_sweep_rows,
     )
 
     sp = sub.add_parser("demo-dop", help="exhibit the deterministic-offer failure ratio h")
     sp.add_argument("--h", type=_h_value, required=True)
     sp.add_argument("--n", type=_positive_int, default=None, help="defaults to h*h")
-    _add_output_flags(sp)
-    sp.set_defaults(
-        domain=lambda ns: certify.check_demo(ns.h, ns.n),
-        rows=_row_builder("_demo_dop_rows"),
-    )
+    sp.set_defaults(domain=lambda ns: certify.check_demo(ns.h, ns.n), rows=_demo_dop_rows)
 
-    sp = sub.add_parser("dist-d", help="exact expectation identities under the hard distribution")
-    sp.add_argument("--n", type=_positive_int, required=True)
-    sp.add_argument("--h", type=_h_value, required=True)
-    _add_output_flags(sp)
-    sp.set_defaults(domain=_dist_d_domain, rows=_row_builder("_dist_d_rows"))
+    sp = over_n_h("dist-d", help="exact expectation identities under the hard distribution")
+    sp.set_defaults(domain=_dist_d_domain, rows=_dist_d_rows)
 
-    sp = sub.add_parser("mc", help="Monte Carlo revenue estimates under the hard distribution")
-    sp.add_argument("--n", type=_positive_int, required=True)
-    sp.add_argument("--h", type=_h_value, required=True)
+    sp = over_n_h("mc", help="Monte Carlo revenue estimates under the hard distribution")
     sp.add_argument("--auction", choices=AUCTION_NAMES, required=True)
     sp.add_argument("--samples", type=_positive_int, required=True)
     sp.add_argument("--seed", type=_seed_value, required=True)
     sp.add_argument("--threads", type=_positive_int, help="defaults to every core")
-    _add_output_flags(sp)
-    sp.set_defaults(domain=_mc_domain, rows=_row_builder("_mc_rows"))
+    sp.set_defaults(domain=_mc_domain, rows=_mc_rows)
 
-    sp = sub.add_parser("block-check", help="verify derandomized offer block structure on every vector")
-    sp.add_argument("--n", type=_positive_int, required=True)
-    sp.add_argument("--h", type=_h_value, required=True)
+    sp = over_n_h("block-check", help="verify derandomized offer block structure on every vector")
     sp.add_argument("--limit", type=_positive_int, default=DEFAULT_ENUMERATION_LIMIT)
-    _add_output_flags(sp)
     sp.set_defaults(
         domain=lambda ns: certify.check_block_sweep(AuctionParams(ns.n, ns.h), ns.limit),
-        rows=_row_builder("_block_check_rows"),
+        rows=_block_check_rows,
     )
 
-    sp = sub.add_parser("expectation", help="exact expected revenue of the randomized auction")
-    sp.add_argument("--n", type=_positive_int, required=True)
-    sp.add_argument("--h", type=_h_value, required=True)
+    sp = over_n_h("expectation", help="exact expected revenue of the randomized auction")
     sp.add_argument("--bids", default=None,
                     help="H/L string for one vector; omit for the full per-count table")
-    _add_output_flags(sp)
-    sp.set_defaults(domain=_expectation_domain, rows=_row_builder("_expectation_rows"))
+    sp.set_defaults(domain=_expectation_domain, rows=_expectation_rows)
 
     sp = sub.add_parser("batch", help="run a JSON array of experiment configs, one aggregated report")
     sp.add_argument("config", help="path to a JSON array of config objects")
     sp.add_argument("--threads", type=_positive_int, help="defaults to every core")
     sp.add_argument("--limit", type=_positive_int, default=DEFAULT_ENUMERATION_LIMIT,
                     help="default enumeration cap for entries that do not set one")
-    _add_output_flags(sp)
     # _batch_rows checks each entry's domain before any entry runs
-    sp.set_defaults(domain=lambda ns: None, rows=_row_builder("_batch_rows"))
+    sp.set_defaults(domain=lambda ns: None, rows=_batch_rows)
 
+    for sp in sub.choices.values():
+        sp.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
+        sp.add_argument("--output", default=None, help="write to this file instead of stdout")
     return parser
 
 
@@ -389,6 +360,7 @@ EXPECTATION_N_LIMIT = 1 << 16
 
 
 def _expectation_domain(ns: argparse.Namespace) -> None:
+    certify._require_normalizable(ns.n, ns.h)
     if ns.bids is not None:
         BidVector.from_string(AuctionParams(ns.n, ns.h), ns.bids)
     elif ns.n > EXPECTATION_N_LIMIT:
@@ -409,17 +381,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
         args.domain(args)
-        rows = args.rows(args)
-        text = reports.render(rows, args.format)
+        reports.write_report(reports.render(args.rows(args), args.format), args.output)
     except IdentityCheckError as exc:
         print(str(exc), file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        reports.write_report(text, args.output)
-    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

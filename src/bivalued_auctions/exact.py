@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, lcm, sqrt
+from math import gcd, isqrt, lcm, sqrt
 from typing import Iterable, Union
 
 RationalLike = Union[int, Fraction]
@@ -155,8 +155,12 @@ class SurdSum:
         acc: dict[int, Fraction] = {}
         for r1, c1 in self._terms:
             for r2, c2 in other._terms:
-                s, r = square_free(r1 * r2)
-                acc[r] = acc.get(r, Fraction(0)) + c1 * c2 * s
+                # r1 = g*a and r2 = g*b are square-free, so a, b and g are
+                # pairwise coprime and r1*r2 = g*g * (a*b) with a*b square-free:
+                # the product needs no factoring
+                g = gcd(r1, r2)
+                r = r1 // g * (r2 // g)
+                acc[r] = acc.get(r, Fraction(0)) + c1 * c2 * g
         return SurdSum._from_map(acc)
 
     __rmul__ = __mul__

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bivalued_auctions import analysis, certify, cli
+from bivalued_auctions import AuctionParams, analysis, certify, cli
 from bivalued_auctions.cli import main
 from bivalued_auctions.reports import CSV_COLUMNS
 
@@ -159,6 +159,18 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err.startswith("error:") and "int64" in err
 
+    def test_normalize_limit_is_inclusive(self, capsys):
+        # h*n = 2**64 exactly: 2**63 needs no trial division past 2
+        argv = ("--n", "2", "--h", str(1 << 63))
+        for command in (("expectation", *argv), ("sweep", *argv, "--auction", "random")):
+            code, out, err = run_cli(capsys, *command)
+            assert code == 0 and err == "", command
+        certify._require_normalizable(1, certify.NORMALIZE_HN_LIMIT)
+        with pytest.raises(ValueError, match="the limit for normalizing"):
+            certify.check_sweep(
+                AuctionParams(1, certify.NORMALIZE_HN_LIMIT + 1), "random", limit=20
+            )
+
     def test_enumeration_cap_is_one(self, capsys):
         code, out, err = run_cli(capsys, "block-check", "--n", "64", "--h", "2", "--limit", "64")
         assert code == 1 and out == ""
@@ -208,7 +220,9 @@ class TestExitCodes:
 
         with monkeypatch.context() as m:
             m.setattr(cli, "_expectation_rows", never)
+            cli._parser.cache_clear()  # the shared parser binds the real builder
             code, out, err = run_cli(capsys, "expectation", "--n", str(n), "--h", "2")
+        cli._parser.cache_clear()
         assert code == 1 and out == ""
         assert err == (
             f"error: n={n} exceeds the expectation table limit {cli.EXPECTATION_N_LIMIT}; "
@@ -268,6 +282,11 @@ class TestOutputFile:
         )
         assert code == 1 and "error" in err
 
+    def test_unopenable_path_is_one(self, capsys):
+        # open() raises ValueError, not OSError, on a path with a null byte
+        code, out, err = run_cli(capsys, "demo-dop", "--h", "2", "--output", "a\x00b")
+        assert (code, out, err) == (1, "", "error: embedded null byte\n")
+
 
 ROW_BUILDERS = ("_sweep_rows", "_demo_dop_rows", "_dist_d_rows", "_mc_rows",
                 "_block_check_rows", "_expectation_rows")
@@ -275,12 +294,19 @@ ROW_BUILDERS = ("_sweep_rows", "_demo_dop_rows", "_dist_d_rows", "_mc_rows",
 
 @pytest.fixture
 def no_handlers(monkeypatch):
-    """Every command's row builder but batch's raises if it is called."""
+    """Every command's row builder but batch's raises if it is called.
+
+    The shared parser binds the builders it was built with, so it is
+    dropped before the patch takes effect and again before the real
+    builders come back."""
     def never(ns):
         raise AssertionError(f"{ns.command} handler ran")
 
     for name in ROW_BUILDERS:
         monkeypatch.setattr(cli, name, never)
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
 
 
 def test_every_subcommand_declares_its_domain_and_rows():
@@ -289,9 +315,10 @@ def test_every_subcommand_declares_its_domain_and_rows():
                              "expectation", "batch"}
     for name, sp in commands.items():
         assert callable(sp.get_default("domain")), name
-        assert callable(sp.get_default("rows")), name
-    assert {commands[name].get_default("rows").__name__ for name in commands} == {
-        *ROW_BUILDERS, "_batch_rows"}
+    rows = {name: sp.get_default("rows") for name, sp in commands.items()}
+    assert {builder.__name__ for builder in rows.values()} == {*ROW_BUILDERS, "_batch_rows"}
+    for name, builder in rows.items():
+        assert builder is getattr(cli, builder.__name__), name
 
 
 class TestBatch:
@@ -471,9 +498,17 @@ class TestBatch:
          "samples=1000000000000000000 exceeds the Monte Carlo limit 1073741824"),
         ({"command": "expectation", "n": 10**9, "h": 2},
          "n=1000000000 exceeds the expectation table limit 65536; pass --bids for one vector"),
+        # before exact.square_free would trial-divide h*n for about half a minute
+        ({"command": "expectation", "n": 2, "h": 10**25 + 13},
+         "h*n = 20000000000000000000000026 exceeds 18446744073709551616, "
+         "the limit for normalizing a loss by sqrt(h*n)"),
+        ({"command": "sweep", "n": 2, "h": 10**25 + 13, "auction": "random"},
+         "h*n = 20000000000000000000000026 exceeds 18446744073709551616, "
+         "the limit for normalizing a loss by sqrt(h*n)"),
     ], ids=["enumeration-cap", "limit", "int64", "mc-n", "printable-dist-d", "printable-mc",
             "demo-limit", "divisible-dist-d", "divisible-demo-dop", "divisible-sweep",
-            "divisible-mc", "bids-character", "bids-length", "samples", "expectation-table"])
+            "divisible-mc", "bids-character", "bids-length", "samples", "expectation-table",
+            "normalize-expectation", "normalize-sweep"])
     def test_domain_checked_before_any_entry_runs(
         self, capsys, tmp_path, no_handlers, bad, message
     ):
@@ -486,7 +521,10 @@ class TestBatch:
         code, out, err = run_cli(capsys, "batch", path)
         assert (code, out, err) == (1, "", f"error: entry 1: {message}\n")
 
-    def test_in_domain_entries_reach_their_handler(self, capsys, tmp_path, no_handlers):
+    def test_in_domain_entries_reach_their_handler(self, capsys, tmp_path, request):
+        # the shared parser is built before the patch, with the real builders
+        assert main(["demo-dop", "--h", "3"]) == 0
+        request.getfixturevalue("no_handlers")
         with pytest.raises(AssertionError, match="demo-dop handler ran"):
             main(["demo-dop", "--h", "3"])
         path = self.write(tmp_path, [{"command": "block-check", "n": 15, "h": 3}])

@@ -1,9 +1,8 @@
 """One parser per process: `cli.main` builds its parser on the first call, and
 every later call, `batch` included, reuses it.
 
-The shared parser must carry nothing from one call to the next, must not fix
-the help width when it is built, and must not keep the row builders it was
-built with: a builder replaced on `cli` is the one the next call runs.
+The shared parser must carry nothing from one call to the next, and must not
+fix the help width when it is built.
 """
 
 from __future__ import annotations
@@ -90,20 +89,6 @@ def test_later_calls_construct_no_parser(capsys, tmp_path, monkeypatch):
     # the count sees every construction: a fresh parser is one per command, plus the root
     cli.build_parser()
     assert len(built) == 8
-
-
-def test_row_builder_patched_after_the_build_runs(capsys, tmp_path, monkeypatch):
-    argv = ["expectation", "--n", "2", "--h", "2"]
-    assert cli.main(argv) == 0
-    real = capsys.readouterr().out
-    batch = ["batch", write_config(tmp_path, [{"command": "expectation", "n": 2, "h": 2}])]
-    with monkeypatch.context() as m:
-        m.setattr(cli, "_expectation_rows", lambda ns: [{"command": "patched", "n": ns.n}])
-        for call in (argv, batch):
-            assert cli.main(call) == 0
-            assert capsys.readouterr().out.splitlines()[1].startswith("patched,2,"), call
-    assert cli.main(argv) == 0
-    assert capsys.readouterr().out == real
 
 
 def test_help_follows_the_terminal_width_when_printed(capsys, monkeypatch):

@@ -54,6 +54,13 @@ class TestBidVector:
         assert b.flip(1).to_string() == "LLHL"
         assert b.flip(1).flip(1) == b
 
+    def test_mask_outside_n_bits_is_rejected(self):
+        p = AuctionParams(5, 3)
+        BidVector(p, (1 << 5) - 1)
+        for mask in (1 << 5, -1):
+            with pytest.raises(ValueError, match="out of range for n=5"):
+                BidVector(p, mask)
+
     def test_mask_rejects_out_of_range(self):
         p = AuctionParams(5, 3)
         b = BidVector(p, 0)

@@ -114,6 +114,15 @@ class TestSurdSum:
         assert SurdSum().sign() == 0
         assert (SurdSum.root(3) - SurdSum.root(3)).sign() == 0
 
+    def test_sign_refines_past_32_bits(self):
+        # a convergent of sqrt(2) from below: the float difference reads 0.0,
+        # and the 32-bit interval straddles 0, so the 64-bit one decides
+        x = SurdSum.of(Fraction(10812186007, 7645370045)) - SurdSum.root(2)
+        assert float(x) == 0.0
+        lo, hi, _ = x._bounds(32)
+        assert lo <= 0 <= hi
+        assert x.sign() == -1
+
     def test_division_by_rational(self):
         v = SurdSum.multiple(3, 2) / 3
         assert v == SurdSum.root(2)
@@ -186,6 +195,31 @@ class TestSurdSum:
             a = a + SurdSum.multiple(coeff, radicand)
         want = a * SurdSum.of(q)  # the term-by-term product of two surd sums
         assert (a * q).terms == (q * a).terms == want.terms
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(1, 10**6), st.fractions(max_denominator=40)),
+            max_size=3,
+        ),
+        st.lists(
+            st.tuples(st.integers(1, 10**6), st.fractions(max_denominator=40)),
+            max_size=3,
+        ),
+    )
+    def test_product_by_gcd_matches_square_free_of_the_product(self, left, right):
+        def surd(terms):
+            total = SurdSum.of(0)
+            for m, coeff in terms:
+                total = total + SurdSum.multiple(coeff, m)
+            return total
+
+        a, b = surd(left), surd(right)
+        acc: dict[int, Fraction] = {}
+        for r1, c1 in a.terms:
+            for r2, c2 in b.terms:
+                s, r = square_free(r1 * r2)
+                acc[r] = acc.get(r, Fraction(0)) + c1 * c2 * s
+        assert (a * b).terms == tuple(sorted((r, c) for r, c in acc.items() if c))
 
     @given(
         st.lists(

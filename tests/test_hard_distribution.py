@@ -2,7 +2,7 @@
 
 `exact_e_opt_under_d` and `exact_e_dop_under_d` sum integer numerators over
 the one denominator h**n; the oracle here sums one Fraction per count.
-E[threshold-DOP] = n reads the count kernel `enumeration.count_revenues`, so
+E[threshold-DOP] = n reads the count kernel `auctions.count_revenues`, so
 a wrong kernel breaks `dist-d`; the same identity is held here, in Python
 ints and in surds, for DOP with h not dividing n and for the randomized
 auction.
@@ -103,7 +103,8 @@ def _late_count_revenues(k, n, h, t):
 
 
 def test_identity_certifies_the_count_kernel(monkeypatch, capsys):
-    monkeypatch.setattr(enumeration, "count_revenues", _late_count_revenues)
+    # analysis binds the kernel from its home, auctions
+    monkeypatch.setattr(analysis, "count_revenues", _late_count_revenues)
     with pytest.raises(IdentityCheckError) as info:
         analysis.check_distribution_identities(12, 3)
     assert info.value.invariant == "expected-auction-revenue-equals-n"
@@ -111,6 +112,21 @@ def test_identity_certifies_the_count_kernel(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("identity violated: expected-auction-revenue-equals-n")
+
+
+def test_identity_check_certifies_the_gap(monkeypatch):
+    # a floor one too large breaks E[OPT] - E[auction] = gap
+    gap = analysis.lower_bound_gap(12, 3)
+    monkeypatch.setattr(analysis, "lower_bound_gap", lambda n, h: gap + 1)
+    with pytest.raises(IdentityCheckError) as info:
+        analysis.check_distribution_identities(12, 3)
+    assert info.value.invariant == "gap-decomposition"
+    # with E[OPT] = n as well, the decomposition holds at gap 0, which is no floor
+    monkeypatch.setattr(analysis, "lower_bound_gap", lambda n, h: Fraction(0))
+    monkeypatch.setattr(analysis, "exact_e_opt_under_d", lambda n, h: Fraction(n))
+    with pytest.raises(IdentityCheckError) as info:
+        analysis.check_distribution_identities(12, 3)
+    assert info.value.invariant == "gap-positive"
 
 
 def test_demo_dop_prints_the_scalar_run(monkeypatch, capsys):

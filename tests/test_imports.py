@@ -142,9 +142,13 @@ def test_unknown_name_is_an_attribute_error():
 
 
 def test_dir_lists_every_public_name():
-    # in a fresh interpreter, before any name is bound by use
-    listed = run_fresh("import bivalued_auctions as b; print(' '.join(dir(b)))").split()
-    assert set(bivalued_auctions.__all__) <= set(listed)
+    assert set(bivalued_auctions.__all__) <= set(dir(bivalued_auctions))
+    # in a fresh interpreter, before any name is bound by use, and loading no numpy
+    listed = run_fresh(
+        "import sys, bivalued_auctions as b; print(*dir(b), 'numpy' in sys.modules)"
+    ).split()
+    assert set(bivalued_auctions.__all__) <= set(listed[:-1])
+    assert listed[-1] == "False"
 
 
 # ---------------------------------------------------------------------------
