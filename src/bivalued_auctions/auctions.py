@@ -21,7 +21,7 @@ from .core import (
     revenue_by_offer_counts,
     settle,
 )
-from .exact import SurdSum, bernoulli_threshold, ceil_scaled_sqrt
+from .exact import MEMO_SIZE, SurdSum, bernoulli_threshold, ceil_scaled_sqrt
 from .rng import draw_u64
 
 AUCTION_NAMES = ("dop", "threshold-dop", "derand", "random")
@@ -83,7 +83,7 @@ def count_revenues(k, n: int, h: int, t: int):
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_SIZE)
 def offer_probability_by_count(n: int, h: int, nh_i: int) -> SurdSum:
     """Probability of offering h to a bidder who sees nh_i high bids.
 
@@ -104,7 +104,7 @@ def random_offer_probability(m: MaskedBidVector) -> SurdSum:
     return offer_probability_by_count(params.n, params.h, count_high_excluding(m))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_SIZE)
 def expected_revenue_by_count(n: int, h: int, n_high: int) -> SurdSum:
     """Exact expected revenue of the randomized auction on any vector with
     n_high high bids.
@@ -118,7 +118,7 @@ def expected_revenue_by_count(n: int, h: int, n_high: int) -> SurdSum:
     return revenue_by_offer_counts(n, h, low, high)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_SIZE)
 def _offer_threshold_by_count(n: int, h: int, nh_i: int) -> int:
     return bernoulli_threshold(offer_probability_by_count(n, h, nh_i))
 
@@ -143,7 +143,7 @@ def random_auction_run(b: BidVector, seed: int) -> OfferSchedule:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_SIZE)
 def derand_modulus(h: int, nh_i: int) -> int:
     """ceil(h * sqrt(nh_i)), clamped to at least 1 so the modulus is valid."""
     return max(1, ceil_scaled_sqrt(h, nh_i))

@@ -5,6 +5,9 @@ one fixed column set (see reports.CSV_COLUMNS).  Identical invocations give
 byte-identical output; Monte Carlo randomness is fully determined by --seed.
 Each subcommand is declared once, in build_parser: its subparser carries the
 command's domain check and row builder as the defaults `domain` and `rows`.
+The four commands that print a loss (sweep, demo-dop, dist-d, expectation)
+build their rows with one constructor, _loss_row, the only place that
+derives loss = opt - revenue and its normalization loss / sqrt(n*h).
 
 `main` may be called many times in one process.  The parser is built on the
 first call, not at import, and every later call and every `batch` reuse it.
@@ -142,31 +145,33 @@ def build_parser() -> _Parser:
 # ---------------------------------------------------------------------------
 
 
+def _loss_row(command: str, n: int, h: int, auction: str, n_h: int, opt, revenue, **extra) -> dict:
+    """The row of every command that prints a loss: loss = opt - revenue and
+    its normalization loss / sqrt(n*h), then the command's own fields."""
+    loss = opt - revenue
+    return {
+        "command": command, "n": n, "h": h, "auction": auction, "n_h": n_h,
+        "opt": opt, "revenue": revenue, "loss": loss,
+        "normalized_loss": certify._normalize(loss, n, h), **extra,
+    }
+
+
 def _sweep_rows(ns: argparse.Namespace) -> list[dict]:
     params = AuctionParams(ns.n, ns.h)
     profile = certify.worst_case_sweep(params, ns.auction, limit=ns.limit, threads=ns.threads)
     witness = profile.witness
     opt = offline_optimal(witness)
-    loss = profile.global_worst
-    return [{
-        "command": "sweep", "n": ns.n, "h": ns.h, "auction": ns.auction,
-        "n_h": count_high(witness), "opt": opt, "revenue": opt - loss, "loss": loss,
-        "normalized_loss": profile.normalized,
-        "witness": witness.to_string(),
-        "per_nh_worst": {str(k): v for k, v in sorted(profile.per_nh_worst.items())},
-    }]
+    return [_loss_row(
+        "sweep", ns.n, ns.h, ns.auction, count_high(witness), opt, opt - profile.global_worst,
+        witness=witness.to_string(),
+        per_nh_worst={str(k): v for k, v in sorted(profile.per_nh_worst.items())},
+    )]
 
 
 def _demo_dop_rows(ns: argparse.Namespace) -> list[dict]:
     b, ratio = certify._dop_demo(ns.h, ns.n)
-    n = b.n
-    revenue = n // ratio  # ratio = opt / revenue, opt = n, revenue an integer
-    return [{
-        "command": "demo-dop", "n": n, "h": ns.h, "auction": "dop",
-        "n_h": count_high(b), "opt": n, "revenue": revenue, "loss": n - revenue,
-        "normalized_loss": certify._normalize(n - revenue, n, ns.h),
-        "ratio": ratio,
-    }]
+    # ratio = opt / revenue, opt = n, revenue an integer
+    return [_loss_row("demo-dop", b.n, ns.h, "dop", count_high(b), b.n, b.n // ratio, ratio=ratio)]
 
 
 # Every integer in the exact fields of dist-d and mc is below h**n * h * n,
@@ -192,13 +197,12 @@ def _dist_d_rows(ns: argparse.Namespace) -> list[dict]:
     from . import analysis
 
     e_opt, e_dop, gap = analysis.check_distribution_identities(ns.n, ns.h)
-    return [{
-        "command": "dist-d", "n": ns.n, "h": ns.h, "auction": "threshold-dop",
-        "n_h": ns.n // ns.h, "opt": e_opt, "revenue": e_dop, "loss": gap,
-        "normalized_loss": certify._normalize(gap, ns.n, ns.h),
-        "gap_exact_num": gap.numerator, "gap_exact_den": gap.denominator,
-        "exact_e_opt": e_opt, "exact_e_dop": e_dop,
-    }]
+    # the check certified e_opt - e_dop == gap, the row's loss
+    return [_loss_row(
+        "dist-d", ns.n, ns.h, "threshold-dop", ns.n // ns.h, e_opt, e_dop,
+        gap_exact_num=gap.numerator, gap_exact_den=gap.denominator,
+        exact_e_opt=e_opt, exact_e_dop=e_dop,
+    )]
 
 
 def _mc_rows(ns: argparse.Namespace) -> list[dict]:
@@ -242,26 +246,16 @@ def _block_check_rows(ns: argparse.Namespace) -> list[dict]:
 
 
 def _expectation_rows(ns: argparse.Namespace) -> list[dict]:
-    params = AuctionParams(ns.n, ns.h)
-    if ns.bids is not None:
-        vector = BidVector.from_string(params, ns.bids)
-        counts = [count_high(vector)]
-    else:
-        counts = list(range(ns.n + 1))
-    rows = []
-    for k in counts:
-        opt = max(ns.n, ns.h * k)
-        expectation = expected_revenue_by_count(ns.n, ns.h, k)
-        loss = opt - expectation
-        row = {
-            "command": "expectation", "n": ns.n, "h": ns.h, "auction": "random",
-            "n_h": k, "opt": opt, "revenue": expectation, "loss": loss,
-            "normalized_loss": certify._normalize(loss, ns.n, ns.h),
-        }
-        if ns.bids is not None:
-            row["bids"] = ns.bids
-        rows.append(row)
-    return rows
+    if ns.bids is None:
+        return [_expectation_row(ns.n, ns.h, k) for k in range(ns.n + 1)]
+    vector = BidVector.from_string(AuctionParams(ns.n, ns.h), ns.bids)
+    return [_expectation_row(ns.n, ns.h, count_high(vector), bids=ns.bids)]
+
+
+def _expectation_row(n: int, h: int, k: int, **extra) -> dict:
+    """The randomized auction's exact expected loss on vectors with k high bids."""
+    opt, revenue = max(n, h * k), expected_revenue_by_count(n, h, k)
+    return _loss_row("expectation", n, h, "random", k, opt, revenue, **extra)
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,16 @@ from typing import Iterable, Union
 RationalLike = Union[int, Fraction]
 ExactLike = Union[int, Fraction, "SurdSum"]
 
+# Entries kept by each per-count memo (square_free here, the offer
+# probabilities, expected revenues, thresholds and moduli in auctions), so a
+# process that prints table after table stays bounded: eight expectation
+# tables at n = 20000 peak at about 51 MB.  Two passes of the benchmark's
+# exact-report workload touch at most 2584 entries of each, so it evicts
+# none of them.
+MEMO_SIZE = 1 << 14
 
-@lru_cache(maxsize=None)
+
+@lru_cache(maxsize=MEMO_SIZE)
 def square_free(m: int) -> tuple[int, int]:
     """Split m >= 1 into (s, r) with m = s*s*r and r square-free.
 

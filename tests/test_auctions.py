@@ -1,5 +1,6 @@
 """Offer rules: the two deterministic-optimal-price variants, the randomized
-auction (probabilities, exact expectation, sampled runs), dispatch."""
+auction (probabilities, exact expectation, sampled runs), dispatch, and the
+bound on the per-count memos."""
 
 from __future__ import annotations
 
@@ -15,8 +16,10 @@ from bivalued_auctions import (
     AuctionParams,
     BidVector,
     SurdSum,
+    auctions,
     count_high,
     dop_offer,
+    exact,
     expected_revenue_by_count,
     offer_probability_by_count,
     offline_optimal,
@@ -25,6 +28,7 @@ from bivalued_auctions import (
     run_auction,
     threshold_dop_offer,
 )
+from bivalued_auctions.cli import main
 
 
 def vector(n, h, text):
@@ -216,3 +220,45 @@ def test_run_auction_dispatch():
         assert run_auction(b, name).revenue >= 0
     with pytest.raises(ValueError):
         run_auction(b, "vickrey")
+
+
+class TestPerCountMemos:
+    """Each per-count memo keeps at most exact.MEMO_SIZE entries, so one
+    process can print any number of expectation tables in bounded memory."""
+
+    MEMOS = (
+        auctions.offer_probability_by_count,
+        auctions.expected_revenue_by_count,
+        auctions._offer_threshold_by_count,
+        auctions.derand_modulus,
+        exact.square_free,
+    )
+
+    @pytest.fixture(autouse=True)
+    def cleared(self):
+        for memo in self.MEMOS:
+            memo.cache_clear()
+        yield
+        for memo in self.MEMOS:
+            memo.cache_clear()
+
+    def test_a_table_longer_than_the_bound_stays_within_it(self, tmp_path):
+        n, h = exact.MEMO_SIZE + 1, 3
+        assert main(["expectation", "--n", str(n), "--h", str(h),
+                     "--output", str(tmp_path / "table.csv")]) == 0
+        for m in range(n + 1):
+            auctions._offer_threshold_by_count(n, h, m)
+            auctions.derand_modulus(h, m)
+            exact.square_free(m + 1)
+        for memo in self.MEMOS:
+            info = memo.cache_info()
+            assert info.maxsize == exact.MEMO_SIZE
+            assert info.misses > info.maxsize >= info.currsize, memo.__name__
+
+    def test_a_repeated_small_table_hits(self, tmp_path):
+        argv = ["expectation", "--n", "40", "--h", "3", "--output", str(tmp_path / "t.csv")]
+        assert main(argv) == 0
+        first = auctions.expected_revenue_by_count.cache_info()
+        assert main(argv) == 0
+        second = auctions.expected_revenue_by_count.cache_info()
+        assert (second.hits - first.hits, second.misses) == (41, first.misses)
