@@ -45,7 +45,6 @@ from .certify import (
     Loss,
     LossProfile,
     _check_sweep_args,
-    _normalize,
     _require_enumerable,
     additive_loss,  # perfbench reads it as analysis.additive_loss
     check_block_sweep,
@@ -149,15 +148,7 @@ def enumerated_sweep(params: AuctionParams, auction: str) -> LossProfile:
         if worst is None or chunk_worst > worst or (chunk_worst == worst and chunk_key < best_key):
             worst, best_key, best_mask = chunk_worst, chunk_key, chunk_mask
     per_nh = {k: value(int(per_k_all[k])) for k in range(n + 1)}
-    global_worst = value(worst)
-    return LossProfile(
-        params,
-        auction,
-        per_nh,
-        global_worst,
-        BidVector(params, best_mask),
-        _normalize(global_worst, n, h),
-    )
+    return LossProfile(params, auction, per_nh, value(worst), BidVector(params, best_mask))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@
 The domain limits and checks of every command (cli keeps two of its own: the
 `expectation` table limit and the printable bound of the exact fields), the
 identity error, the per-vector loss, the class-by-class worst case and the
-DOP demo.  DOP, threshold-DOP and the randomized auction lose the same on
+DOP demo.  The normalization loss / sqrt(n*h) lives here, beside its limit,
+but only cli's loss row calls it: a LossProfile holds the worst loss
+itself.  DOP, threshold-DOP and the randomized auction lose the same on
 every vector with k high bids, so their worst case reads one int or SurdSum
 per class and no array.  Only the derandomized sweep scans (k, S) pairs
 with numpy: its scan, _derand_worst_by_class, imports numpy and enumeration
@@ -90,6 +92,11 @@ def _require_normalizable(n: int, h: int) -> None:
         )
 
 
+def _normalize(loss: Loss, n: int, h: int) -> SurdSum:
+    """loss / sqrt(n*h), exactly: the normalized_loss that cli._loss_row prints."""
+    return SurdSum.of(loss) * SurdSum.multiple(Fraction(1, n * h), n * h)
+
+
 def _require_enumerable(n: int, limit: int = ENUMERATION_CAP) -> None:
     if n > ENUMERATION_CAP:
         raise ValueError(f"n={n} exceeds the enumeration cap {ENUMERATION_CAP}")
@@ -108,7 +115,10 @@ def _check_sweep_args(params: AuctionParams, auction: str) -> None:
 def check_sweep(params: AuctionParams, auction: str, limit: int) -> None:
     """Raise ValueError unless worst_case_sweep accepts these arguments."""
     _check_sweep_args(params, auction)
-    if auction == "random":  # the other sweeps stay inside KERNEL_HN_LIMIT
+    # The sweep itself never divides by sqrt(n*h), but this is also the
+    # `sweep` command's domain, and its row prints the normalized loss; the
+    # other sweeps stay inside KERNEL_HN_LIMIT.
+    if auction == "random":
         _require_normalizable(params.n, params.h)
     if params.n > limit:
         raise ValueError(f"n={params.n} exceeds enumeration limit {limit}")
@@ -164,18 +174,16 @@ def additive_loss(b: BidVector, auction: str) -> Loss:
 
 @dataclass(frozen=True)
 class LossProfile:
-    """Worst additive loss of one auction over every bid vector at (n, h)."""
+    """Worst additive loss of one auction over every bid vector at (n, h):
+    the worst per high-bid count k, the worst overall, and the lex-least
+    vector attaining it.  Not normalized; `sweep` prints
+    global_worst / sqrt(n*h) as normalized_loss."""
 
     params: AuctionParams
     auction: str
     per_nh_worst: dict[int, Loss]
     global_worst: Loss
     witness: BidVector
-    normalized: SurdSum  # global_worst / sqrt(n * h)
-
-
-def _normalize(loss: Loss, n: int, h: int) -> SurdSum:
-    return SurdSum.of(loss) * SurdSum.multiple(Fraction(1, n * h), n * h)
 
 
 def _lex_least(params: AuctionParams, k: int, index_sum: int) -> BidVector:
@@ -235,9 +243,7 @@ def worst_case_sweep(
         (_lex_least(params, k, worst_sum[k]) for k in per_nh if per_nh[k] == global_worst),
         key=lambda b: b.bids,
     )
-    return LossProfile(
-        params, auction, per_nh, global_worst, witness, _normalize(global_worst, n, h)
-    )
+    return LossProfile(params, auction, per_nh, global_worst, witness)
 
 
 # (k, S) pairs per block of the derandomized sweep, which bounds its arrays

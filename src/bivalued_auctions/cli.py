@@ -7,7 +7,9 @@ Each subcommand is declared once, in build_parser: its subparser carries the
 command's domain check and row builder as the defaults `domain` and `rows`.
 The four commands that print a loss (sweep, demo-dop, dist-d, expectation)
 build their rows with one constructor, _loss_row, the only place that
-derives loss = opt - revenue and its normalization loss / sqrt(n*h).
+derives loss = opt - revenue.  Its call of certify._normalize is the
+package's only normalization loss / sqrt(n*h): the sweep returns its worst
+loss, and the row divides it once.
 
 `main` may be called many times in one process.  The parser is built on the
 first call, not at import, and every later call and every `batch` reuse it.

@@ -27,6 +27,7 @@ from bivalued_auctions import (
     analysis,
     bid_independence_violations,
     block_structure_sweep,
+    certify,
     derand_run,
     dop_unboundedness_demo,
     exact_e_dop_under_d,
@@ -208,7 +209,8 @@ def test_derand_loss_above_the_grid_constant(n, h, loss, normalized):
     than C sqrt(n h), C = sqrt(63/8) ~ 2.81."""
     profile = worst_case_sweep(AuctionParams(n, h), "derand", limit=n)
     assert profile.global_worst == loss
-    assert profile.normalized == Fraction(normalized)  # n h is a square here
+    # n h is a square here
+    assert certify._normalize(profile.global_worst, n, h) == Fraction(normalized)
     witness = profile.witness
     assert offline_optimal(witness) - derand_run(witness).revenue == loss
     assert Fraction(loss * loss, n * h) > PINNED_C_SQUARED
@@ -221,8 +223,9 @@ def test_random_loss_above_the_lemma_constant():
     profile = worst_case_sweep(AuctionParams(n, h), "random")
     assert profile.global_worst == Fraction(981, 10)
     assert additive_loss(profile.witness, "random") == profile.global_worst
-    assert profile.normalized > PINNED_C_R
-    assert profile.normalized.to_decimal(2) == "3.10"
+    normalized = certify._normalize(profile.global_worst, n, h)
+    assert normalized > PINNED_C_R
+    assert normalized.to_decimal(2) == "3.10"
 
 
 def test_criterion_10_cli_determinism(capsys, monkeypatch):

@@ -3,7 +3,8 @@ and normalized_loss = loss / sqrt(n*h), built by one constructor in cli.
 
 The property test reads the JSON cells back into exact numbers, so each
 identity is checked exactly, not on the 9-digit decimals.  The structural
-test keeps the normalization in that one constructor.
+test keeps the normalization in that one constructor, the only place in the
+package that divides a loss by sqrt(n*h).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 from bivalued_auctions import SurdSum
 from bivalued_auctions.cli import main
 
-CLI = Path(__file__).resolve().parent.parent / "src" / "bivalued_auctions" / "cli.py"
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "bivalued_auctions"
 
 
 def exact_cell(cell) -> SurdSum:
@@ -77,8 +78,22 @@ def test_every_loss_row_is_opt_minus_revenue_over_sqrt_nh(point):
             assert normalized.sign() == loss.sign(), argv
 
 
+def _normalize_calls(tree: ast.AST) -> list[ast.Call]:
+    return [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and (
+            getattr(node.func, "attr", None) == "_normalize"
+            or getattr(node.func, "id", None) == "_normalize"
+        )
+    ]
+
+
 def test_only_the_loss_row_computes_the_loss_fields():
-    tree = ast.parse(CLI.read_text(encoding="utf-8"))
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    tree = trees["cli.py"]
     (loss_row,) = [
         node for node in tree.body
         if isinstance(node, ast.FunctionDef) and node.name == "_loss_row"
@@ -88,16 +103,13 @@ def test_only_the_loss_row_computes_the_loss_fields():
     def outside(nodes):
         return [node.lineno for node in nodes if id(node) not in inside]
 
-    everywhere = list(ast.walk(tree))
+    # the package's one normalization by sqrt(n*h) is the one in _loss_row
     normalize_calls = [
-        node for node in everywhere
-        if isinstance(node, ast.Call) and (
-            getattr(node.func, "attr", None) == "_normalize"
-            or getattr(node.func, "id", None) == "_normalize"
-        )
+        (name, node) for name, module in trees.items() for node in _normalize_calls(module)
     ]
-    assert len(normalize_calls) == 1
-    assert outside(normalize_calls) == []
+    assert len(normalize_calls) == 1, [(name, node.lineno) for name, node in normalize_calls]
+    assert outside(node for _, node in normalize_calls) == []
+    everywhere = list(ast.walk(tree))
     # no other dict literal or call sets the two fields by name
     field_keys = [
         node for node in everywhere
