@@ -3,14 +3,16 @@
 The domain limits and checks of every command (cli keeps two of its own: the
 `expectation` table limit and the printable bound of the exact fields), the
 identity error, the per-vector loss, the class-by-class worst case and the
-DOP demo.  The normalization loss / sqrt(n*h) lives here, beside its limit,
-but only cli's loss row calls it: a LossProfile holds the worst loss
-itself.  DOP, threshold-DOP and the randomized auction lose the same on
-every vector with k high bids, so their worst case reads one int or SurdSum
-per class and no array.  Only the derandomized sweep scans (k, S) pairs
-with numpy: its scan, _derand_worst_by_class, imports numpy and enumeration
-when it runs, so importing this module loads neither.  Nothing here
-imports analysis, which imports from here the names it uses.
+DOP demo.  Each check_* checks only the work of its own entry point.  The
+normalization loss / sqrt(n*h) lives here, beside its limit, but only cli's
+loss row calls it, and only cli's `sweep` and `expectation` domains check
+the limit: a LossProfile holds the worst loss itself.  DOP, threshold-DOP
+and the randomized auction lose the same on every vector with k high bids,
+so their worst case reads one int or SurdSum per class and no array.  Only
+the derandomized sweep scans (k, S) pairs with numpy: its scan,
+_derand_worst_by_class, imports numpy and enumeration when it runs, so
+importing this module loads neither.  Nothing here imports analysis, which
+imports from here the names it uses.
 """
 
 from __future__ import annotations
@@ -58,9 +60,11 @@ MC_SAMPLES_LIMIT = 1 << 30
 # h*m - n < h*n; and the largest sum, a Monte Carlo chunk's squared revenues,
 # is at most analysis._MC_CHUNK * (h*n)**2 <= 2**62.
 KERNEL_HN_LIMIT = 1 << 24
-# The randomized sweep and `expectation` print loss / sqrt(n*h) exactly, and
+# The `sweep` and `expectation` commands print loss / sqrt(n*h) exactly, and
 # exact.square_free trial-divides n*h up to its cube root: a prime n*h just
 # below this limit takes 0.2-0.6 s, and n*h = 2 * 10**25 about half a minute.
+# cli._sweep_domain and cli._expectation_domain check it; the library sweep
+# does not divide, and takes any h for the randomized auction.
 NORMALIZE_HN_LIMIT = 1 << 64
 
 
@@ -115,11 +119,6 @@ def _check_sweep_args(params: AuctionParams, auction: str) -> None:
 def check_sweep(params: AuctionParams, auction: str, limit: int) -> None:
     """Raise ValueError unless worst_case_sweep accepts these arguments."""
     _check_sweep_args(params, auction)
-    # The sweep itself never divides by sqrt(n*h), but this is also the
-    # `sweep` command's domain, and its row prints the normalized loss; the
-    # other sweeps stay inside KERNEL_HN_LIMIT.
-    if auction == "random":
-        _require_normalizable(params.n, params.h)
     if params.n > limit:
         raise ValueError(f"n={params.n} exceeds enumeration limit {limit}")
 

@@ -9,7 +9,9 @@ The four commands that print a loss (sweep, demo-dop, dist-d, expectation)
 build their rows with one constructor, _loss_row, the only place that
 derives loss = opt - revenue.  Its call of certify._normalize is the
 package's only normalization loss / sqrt(n*h): the sweep returns its worst
-loss, and the row divides it once.
+loss, and the row divides it once.  So the bound h*n <= 2**64 of that
+normalization is checked here too, by _sweep_domain and _expectation_domain,
+not by the library sweep.
 
 `main` may be called many times in one process.  The parser is built on the
 first call, not at import, and every later call and every `batch` reuse it.
@@ -95,10 +97,7 @@ def build_parser() -> _Parser:
                     help="accepted for compatibility; the sweep runs on one thread")
     sp.add_argument("--limit", type=_positive_int, default=DEFAULT_ENUMERATION_LIMIT,
                     help="largest n accepted")
-    sp.set_defaults(
-        domain=lambda ns: certify.check_sweep(AuctionParams(ns.n, ns.h), ns.auction, ns.limit),
-        rows=_sweep_rows,
-    )
+    sp.set_defaults(domain=_sweep_domain, rows=_sweep_rows)
 
     sp = sub.add_parser("demo-dop", help="exhibit the deterministic-offer failure ratio h")
     sp.add_argument("--h", type=_h_value, required=True)
@@ -338,6 +337,11 @@ def _batch_rows(args: argparse.Namespace) -> list[dict]:
     # bad entry must fail the whole batch at once, with no partial output.
     jobs = [_validate_entry(i, entry, subparsers, args) for i, entry in enumerate(entries)]
     return [row for ns in jobs for row in ns.rows(ns)]
+
+
+def _sweep_domain(ns: argparse.Namespace) -> None:
+    certify.check_sweep(AuctionParams(ns.n, ns.h), ns.auction, ns.limit)
+    certify._require_normalizable(ns.n, ns.h)
 
 
 def _dist_d_domain(ns: argparse.Namespace) -> None:

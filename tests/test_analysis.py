@@ -22,6 +22,7 @@ from bivalued_auctions import (
     dop_unboundedness_demo,
     exact_e_dop_under_d,
     exact_e_opt_under_d,
+    expected_revenue_by_count,
     lower_bound_gap,
     monte_carlo_under_d,
     offline_optimal,
@@ -71,6 +72,15 @@ class TestWorstCaseSweep:
             )
             worst = max(worst, loss)
         assert profile.global_worst == worst == 2
+
+    def test_random_sweep_takes_any_h(self):
+        # h*n above certify.NORMALIZE_HN_LIMIT: the sweep divides by nothing
+        n, h = 2, 10**25 + 13
+        profile = worst_case_sweep(AuctionParams(n, h), "random")
+        assert profile.per_nh_worst == {
+            k: max(n, h * k) - expected_revenue_by_count(n, h, k) for k in range(n + 1)
+        }
+        assert profile.witness.to_string() == "LH"
 
     def test_witness_reproduces_global_worst(self):
         for auction in ("dop", "threshold-dop", "derand", "random"):

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bivalued_auctions import AuctionParams, analysis, certify, cli
+from bivalued_auctions import analysis, certify, cli
 from bivalued_auctions.cli import main
 from bivalued_auctions.reports import CSV_COLUMNS
 
@@ -165,11 +165,13 @@ class TestExitCodes:
         for command in (("expectation", *argv), ("sweep", *argv, "--auction", "random")):
             code, out, err = run_cli(capsys, *command)
             assert code == 0 and err == "", command
-        certify._require_normalizable(1, certify.NORMALIZE_HN_LIMIT)
-        with pytest.raises(ValueError, match="the limit for normalizing"):
-            certify.check_sweep(
-                AuctionParams(1, certify.NORMALIZE_HN_LIMIT + 1), "random", limit=20
-            )
+        above = certify.NORMALIZE_HN_LIMIT + 1
+        argv = ("--n", "1", "--h", str(above))
+        for command in (("expectation", *argv), ("sweep", *argv, "--auction", "random")):
+            assert run_cli(capsys, *command) == (
+                1, "", f"error: h*n = {above} exceeds {certify.NORMALIZE_HN_LIMIT}, "
+                "the limit for normalizing a loss by sqrt(h*n)\n"
+            ), command
 
     def test_enumeration_cap_is_one(self, capsys):
         code, out, err = run_cli(capsys, "block-check", "--n", "64", "--h", "2", "--limit", "64")
