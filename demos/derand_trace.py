@@ -20,7 +20,7 @@ def trace(text, h):
     print("  i bid    a    b    X  Y  Z  offer")
     schedule = derand_run(b)
     for i in range(1, b.n + 1):
-        s = derand_state(b, i)
+        s = derand_state(b.mask_bidder(i))
         print(
             f"  {i} {b.bid(i):>3} {s.a_val:>4} {s.b_val:>4} {s.x_val:>4}"
             f" {s.y_val:>2} {s.z_val:>2} {schedule.offers[i - 1]:>6}"

@@ -48,6 +48,7 @@ from .certify import (
     _require_enumerable,
     additive_loss,  # perfbench reads it as analysis.additive_loss
     check_block_sweep,
+    check_identities,
     check_monte_carlo,
     worst_case_sweep,  # perfbench reads and traces it as analysis.worst_case_sweep
 )
@@ -371,6 +372,7 @@ def lower_bound_gap(n: int, h: int) -> Fraction:
 
 def check_distribution_identities(n: int, h: int) -> tuple[Fraction, Fraction, Fraction]:
     """Evaluate and cross-check the three exact quantities; raise on any break."""
+    check_identities(n, h)
     e_opt = exact_e_opt_under_d(n, h)
     e_dop = exact_e_dop_under_d(n, h)
     gap = lower_bound_gap(n, h)

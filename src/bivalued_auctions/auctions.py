@@ -1,9 +1,9 @@
 """The bid-independent auctions: DOP, its threshold variant, the randomized
 two-price auction, and the deterministic modular derandomization.
 
-Every offer rule here is a function of the other bids only.  The single
-statistic that drives all of them is n_high(i), the number of high bids among
-bidders other than i.
+Every offer rule here is a function of the other bids only: it reads a
+MaskedBidVector, which holds no own bid.  The single statistic that drives
+all of them is n_high(i), the number of high bids among bidders other than i.
 """
 
 from __future__ import annotations
@@ -175,12 +175,13 @@ class DerandState:
         return self.z_val < self.a_val
 
 
-def derand_state(b: BidVector, i: int) -> DerandState:
-    """Compute the offer-rule state for bidder i from the other bids only."""
-    nh_i = count_high_excluding(b.mask_bidder(i))
-    n, h = b.n, b.h
-    x = sum(j for j in range(1, n + 1) if j != i and b.is_high(j))
-    y = sum(1 for j in range(1, i) if b.is_high(j))
+def derand_state(m: MaskedBidVector) -> DerandState:
+    """Compute the offer-rule state for bidder m.masked_index from the view."""
+    n, h, i = m.params.n, m.params.h, m.masked_index
+    nh_i = count_high_excluding(m)
+    highs = bin(m.others)[:1:-1]  # highs[j - 1] == "1" iff bidder j bids high
+    x = sum(j for j, bit in enumerate(highs, start=1) if bit == "1")
+    y = highs[: i - 1].count("1")
     b_val = derand_modulus(h, nh_i)
     z = (i + x + (b_val - 1) * y) % b_val
     return DerandState(a_val=h * nh_i - n, b_val=b_val, x_val=x, y_val=y, z_val=z)
@@ -188,8 +189,7 @@ def derand_state(b: BidVector, i: int) -> DerandState:
 
 def derand_offer(m: MaskedBidVector) -> int:
     """Deterministic offer: h iff z_val < a_val."""
-    state = derand_state(m.base, m.masked_index)
-    return m.params.h if state.offers_high else LOW_VALUE
+    return m.params.h if derand_state(m).offers_high else LOW_VALUE
 
 
 def derand_run(b: BidVector) -> OfferSchedule:

@@ -1,9 +1,10 @@
 """The certifier's numpy-free half, which owns the whole worst-case sweep.
 
-The domain limits and checks of every command (cli keeps two of its own: the
-`expectation` table limit and the printable bound of the exact fields), the
-identity error, the per-vector loss, the class-by-class worst case and the
-DOP demo.  Each check_* checks only the work of its own entry point.  The
+The domain limits and checks of every command (cli keeps one of its own: the
+`expectation` table limit), the identity error, the per-vector loss, the
+class-by-class worst case and the DOP demo.  Each check_* checks only the
+work of its own entry point; the identities and Monte Carlo, which attach
+them when h | n, share the printable bound of the exact fields.  The
 normalization loss / sqrt(n*h) lives here, beside its limit, but only cli's
 loss row calls it, and only cli's `sweep` and `expectation` domains check
 the limit: a LossProfile holds the worst loss itself.  DOP, threshold-DOP
@@ -41,7 +42,7 @@ DEFAULT_ENUMERATION_LIMIT = 20
 # stay exact far beyond it.
 ENUMERATION_CAP = 30
 # The DOP demo runs the scalar rule on one vector of n bidders, at a cost
-# quadratic in n: about half a second at this cap.
+# quadratic in n: 0.85-1.15 s at this cap on a 2-core Xeon.
 DEMO_N_LIMIT = 1 << 16
 # Monte Carlo settles each block of at most analysis._MC_BLOCK_DRAWS draws as
 # it is drawn, so a worker's memory does not grow with n: at this cap,
@@ -66,6 +67,13 @@ KERNEL_HN_LIMIT = 1 << 24
 # cli._sweep_domain and cli._expectation_domain check it; the library sweep
 # does not divide, and takes any h for the randomized auction.
 NORMALIZE_HN_LIMIT = 1 << 64
+# Every integer of the exact identities under the hard distribution, the
+# fields that dist-d and mc print, is below h**n * h * n, and Python prints
+# no int of more than 4300 digits (the default of sys.set_int_max_str_digits).
+# The library entry points check it too, before any work: unchecked,
+# check_distribution_identities(20000, 10) peaked at 152 MB, and
+# monte_carlo_under_d(16384, 1024, "dop", 1, 0) at 235 MB.
+_PRINTABLE = 10**4300
 
 
 class IdentityCheckError(Exception):
@@ -99,6 +107,17 @@ def _require_normalizable(n: int, h: int) -> None:
 def _normalize(loss: Loss, n: int, h: int) -> SurdSum:
     """loss / sqrt(n*h), exactly: the normalized_loss that cli._loss_row prints."""
     return SurdSum.of(loss) * SurdSum.multiple(Fraction(1, n * h), n * h)
+
+
+def _require_printable(n: int, h: int) -> None:
+    """Reject, before any arithmetic, an (n, h) with h | n whose exact fields
+    could not be printed."""
+    # h**n >= 2**(n * (h.bit_length() - 1)), so a huge n never builds h**n
+    if n % h == 0 and (
+        n * (h.bit_length() - 1) >= _PRINTABLE.bit_length() or h**n * h * n >= _PRINTABLE
+    ):
+        raise ValueError(f"n={n}, h={h}: the exact fields need h**n*h*n < 10**4300, "
+                         "the 4300-digit limit for printing an integer")
 
 
 def _require_enumerable(n: int, limit: int = ENUMERATION_CAP) -> None:
@@ -139,8 +158,15 @@ def check_block_sweep(params: AuctionParams, limit: int) -> None:
     _require_kernel_domain(params.n, params.h)
 
 
+def check_identities(n: int, h: int) -> None:
+    """Raise ValueError unless check_distribution_identities accepts (n, h)."""
+    _require_printable(n, h)
+    require_divisible(n, h)
+
+
 def check_monte_carlo(n: int, h: int, auction: str, samples: int) -> None:
     """Raise ValueError unless monte_carlo_under_d accepts these arguments."""
+    _require_printable(n, h)
     if samples < 1:
         raise ValueError("samples must be >= 1")
     _check_sweep_args(AuctionParams(n, h), auction)

@@ -39,7 +39,7 @@ import sys
 from typing import Optional
 
 from . import certify, reports
-from .auctions import AUCTION_NAMES, expected_revenue_by_count, require_divisible
+from .auctions import AUCTION_NAMES, expected_revenue_by_count
 from .certify import DEFAULT_ENUMERATION_LIMIT, IdentityCheckError
 from .core import AuctionParams, BidVector, count_high, offline_optimal
 
@@ -105,14 +105,15 @@ def build_parser() -> _Parser:
     sp.set_defaults(domain=lambda ns: certify.check_demo(ns.h, ns.n), rows=_demo_dop_rows)
 
     sp = over_n_h("dist-d", help="exact expectation identities under the hard distribution")
-    sp.set_defaults(domain=_dist_d_domain, rows=_dist_d_rows)
+    sp.set_defaults(domain=lambda ns: certify.check_identities(ns.n, ns.h), rows=_dist_d_rows)
 
     sp = over_n_h("mc", help="Monte Carlo revenue estimates under the hard distribution")
     sp.add_argument("--auction", choices=AUCTION_NAMES, required=True)
     sp.add_argument("--samples", type=_positive_int, required=True)
     sp.add_argument("--seed", type=_seed_value, required=True)
     sp.add_argument("--threads", type=_positive_int, help="defaults to every core")
-    sp.set_defaults(domain=_mc_domain, rows=_mc_rows)
+    sp.set_defaults(rows=_mc_rows, domain=lambda ns: certify.check_monte_carlo(
+        ns.n, ns.h, ns.auction, ns.samples))
 
     sp = over_n_h("block-check", help="verify derandomized offer block structure on every vector")
     sp.add_argument("--limit", type=_positive_int, default=DEFAULT_ENUMERATION_LIMIT)
@@ -173,25 +174,6 @@ def _demo_dop_rows(ns: argparse.Namespace) -> list[dict]:
     b, ratio = certify._dop_demo(ns.h, ns.n)
     # ratio = opt / revenue, opt = n, revenue an integer
     return [_loss_row("demo-dop", b.n, ns.h, "dop", count_high(b), b.n, b.n // ratio, ratio=ratio)]
-
-
-# Every integer in the exact fields of dist-d and mc is below h**n * h * n,
-# and Python prints no int of more than 4300 digits (the default of
-# sys.set_int_max_str_digits).
-_PRINTABLE = 10**4300
-
-
-def _require_printable(n: int, h: int) -> None:
-    """Reject, before any arithmetic, an (n, h) with h | n whose exact fields
-    could not be printed."""
-    # h**n >= 2**(n * (h.bit_length() - 1)), so a huge n never builds h**n
-    if n % h == 0 and (
-        n * (h.bit_length() - 1) >= _PRINTABLE.bit_length() or h**n * h * n >= _PRINTABLE
-    ):
-        raise ValueError(
-            f"n={n}, h={h}: the exact fields need h**n*h*n < 10**4300, "
-            "the 4300-digit limit for printing an integer"
-        )
 
 
 def _dist_d_rows(ns: argparse.Namespace) -> list[dict]:
@@ -342,16 +324,6 @@ def _batch_rows(args: argparse.Namespace) -> list[dict]:
 def _sweep_domain(ns: argparse.Namespace) -> None:
     certify.check_sweep(AuctionParams(ns.n, ns.h), ns.auction, ns.limit)
     certify._require_normalizable(ns.n, ns.h)
-
-
-def _dist_d_domain(ns: argparse.Namespace) -> None:
-    _require_printable(ns.n, ns.h)
-    require_divisible(ns.n, ns.h)
-
-
-def _mc_domain(ns: argparse.Namespace) -> None:
-    _require_printable(ns.n, ns.h)
-    certify.check_monte_carlo(ns.n, ns.h, ns.auction, ns.samples)
 
 
 # The per-count table costs about 0.04 ms and 1.8 KB per row: its 2**16 + 1

@@ -4,7 +4,8 @@ Bidders are indexed 1..n throughout (the derandomized offer rule mixes the
 bidder index into a modular hash, so off-by-one errors here are not cosmetic).
 A bid is either low (value 1) or high (value h >= 2).  Vectors are backed by
 an integer bitmask, bit i-1 set <=> bidder i bids high, which keeps exhaustive
-enumeration cheap without capping n.
+enumeration cheap without capping n.  A MaskedBidVector is what one bidder's
+offer rule sees: the other bidders' bits only, never its own bid.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ class BidVector:
 
     def is_high(self, i: int) -> bool:
         """Whether bidder i (1-based) bids high."""
-        self._check_index(i)
+        _check_index(self.params, i)
         return bool((self.mask >> (i - 1)) & 1)
 
     def bid(self, i: int) -> int:
@@ -90,40 +91,45 @@ class BidVector:
 
     def flip(self, i: int) -> "BidVector":
         """Copy with bidder i's bid toggled between low and high."""
-        self._check_index(i)
+        _check_index(self.params, i)
         return BidVector(self.params, self.mask ^ (1 << (i - 1)))
 
     def mask_bidder(self, i: int) -> "MaskedBidVector":
-        return MaskedBidVector(self, i)
+        return MaskedBidVector(self.params, i, self.mask)
 
-    def _check_index(self, i: int) -> None:
-        if not 1 <= i <= self.params.n:
-            raise IndexError(f"bidder index {i} out of range 1..{self.params.n}")
+
+def _check_index(params: AuctionParams, i: int) -> None:
+    if not 1 <= i <= params.n:
+        raise IndexError(f"bidder index {i} out of range 1..{params.n}")
 
 
 @dataclass(frozen=True)
 class MaskedBidVector:
-    """A bid vector with bidder masked_index's own bid hidden.
+    """What bidder masked_index sees of a bid vector: the other n-1 bids.
 
-    Every operation consuming one of these must be a function of the other
-    n-1 bids only; that is what makes the resulting auctions truthful.
+    `others` is the vector's mask with the masked bidder's bit cleared, and
+    the constructor clears that bit itself, so a view holds no own bid and
+    the views of b and b.flip(masked_index) are equal.  Every offer rule is
+    a function of one of these; that is what makes the auctions truthful.
     """
 
-    base: BidVector
+    params: AuctionParams
     masked_index: int
+    others: int
 
     def __post_init__(self) -> None:
-        self.base._check_index(self.masked_index)
-
-    @property
-    def params(self) -> AuctionParams:
-        return self.base.params
+        _check_index(self.params, self.masked_index)
+        bit = 1 << (self.masked_index - 1)
+        # the & reads only the low masked_index bits; a set bit costs one more pass
+        if self.others & bit:
+            object.__setattr__(self, "others", self.others ^ bit)
 
     def is_high(self, j: int) -> bool:
         """Bid class of bidder j != masked_index."""
         if j == self.masked_index:
             raise ValueError(f"bid {j} is masked")
-        return self.base.is_high(j)
+        _check_index(self.params, j)
+        return bool((self.others >> (j - 1)) & 1)
 
 
 @dataclass(frozen=True)
@@ -146,8 +152,7 @@ def count_high(b: BidVector) -> int:
 
 def count_high_excluding(m: MaskedBidVector) -> int:
     """Number of high bids among all bidders other than the masked one."""
-    base = m.base
-    return count_high(base) - int(base.is_high(m.masked_index))
+    return m.others.bit_count()
 
 
 def offline_optimal(b: BidVector) -> int:

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from bivalued_auctions import (
     AuctionParams,
     BidVector,
+    MaskedBidVector,
     count_high,
     count_high_excluding,
     offline_optimal,
@@ -62,17 +63,36 @@ class TestBidVector:
                 BidVector(p, mask)
 
     def test_mask_rejects_out_of_range(self):
-        p = AuctionParams(5, 3)
-        b = BidVector(p, 0)
-        with pytest.raises(IndexError):
-            b.mask_bidder(6)
+        b = BidVector(AuctionParams(5, 3), 0b10101)
+        for i in (0, 6):
+            with pytest.raises(IndexError, match=f"bidder index {i} out of range 1..5"):
+                b.mask_bidder(i)
+            with pytest.raises(IndexError):
+                MaskedBidVector(b.params, i, b.mask)
 
     def test_masked_view_hides_own_bid(self):
         b = BidVector.from_string(AuctionParams(4, 2), "HLHL")
         m = b.mask_bidder(1)
         assert m.is_high(3)
+        assert not m.is_high(2)
         with pytest.raises(ValueError):
             m.is_high(1)
+        for j in (0, 5):
+            with pytest.raises(IndexError):
+                m.is_high(j)
+
+    def test_masked_view_holds_no_own_bid(self):
+        # the own bid cannot reach a rule: a view is the same object whatever
+        # the masked bidder bids, and however its mask was given
+        for n in range(1, 9):
+            p = AuctionParams(n, 3)
+            for mask in range(1 << n):
+                b = BidVector(p, mask)
+                for i in range(1, n + 1):
+                    m = b.mask_bidder(i)
+                    assert m == b.flip(i).mask_bidder(i)
+                    assert m.others == mask & ~(1 << (i - 1))
+                    assert MaskedBidVector(p, i, mask | 1 << (i - 1)) == m
 
 
 def test_count_high_examples():

@@ -43,21 +43,21 @@ class TestModulus:
 class TestState:
     def test_all_high_hand_trace(self):
         b = vector(4, 2, "HHHH")
-        s = derand_state(b, 1)
+        s = derand_state(b.mask_bidder(1))
         assert (s.a_val, s.b_val, s.x_val, s.y_val, s.z_val) == (2, 4, 9, 0, 2)
         assert not s.offers_high  # z = 2 >= a = 2
 
     def test_all_low(self):
         b = vector(4, 2, "LLLL")
         for i in range(1, 5):
-            s = derand_state(b, i)
+            s = derand_state(b.mask_bidder(i))
             assert s.a_val == -4
             assert s.x_val == 0 and s.y_val == 0
             assert not s.offers_high
 
     def test_zero_a_boundary(self):
         b = vector(4, 2, "HLHL")
-        s = derand_state(b, 2)
+        s = derand_state(b.mask_bidder(2))
         assert s.a_val == 0
         assert not s.offers_high  # z >= 0 > a - 1
 
@@ -67,7 +67,7 @@ class TestState:
             for mask in range(1 << n):
                 b = BidVector(p, mask)
                 for i in range(1, n + 1):
-                    s = derand_state(b, i)
+                    s = derand_state(b.mask_bidder(i))
                     assert 0 <= s.z_val < s.b_val
 
     def test_state_ignores_own_bid(self):
@@ -75,7 +75,7 @@ class TestState:
         for mask in range(1 << 8):
             b = BidVector(p, mask)
             for i in range(1, 9):
-                assert derand_state(b, i) == derand_state(b.flip(i), i)
+                assert derand_state(b.mask_bidder(i)) == derand_state(b.flip(i).mask_bidder(i))
 
 
 class TestRun:

@@ -1,7 +1,8 @@
 """Each certify.check_* raises the ValueError its entry point raises.
 
 README promises a library caller can run a check without doing any work.
-An entry point runs here only where it is cheap (n <= 10, samples <= 100),
+An entry point runs here only where it is cheap (n <= 10, samples <= 100,
+or the printable edge (n, h) = (4300, 10), about 0.06 s of work unchecked),
 so a check that its entry point stopped making cannot start hours of work.
 """
 
@@ -13,6 +14,7 @@ from bivalued_auctions import (
     AuctionParams,
     block_structure_sweep,
     certify,
+    check_distribution_identities,
     dop_unboundedness_demo,
     monte_carlo_under_d,
     worst_case_sweep,
@@ -28,6 +30,9 @@ from bivalued_auctions.certify import (
 )
 
 LIMIT = DEFAULT_ENUMERATION_LIMIT
+# the least n divisible by h = 10 at which h**n*h*n reaches 10**4300
+PRINTABLE_EDGE = dict(n=4300, h=10)
+PRINTABLE_MESSAGE = "the 4300-digit limit for printing an integer"
 
 # (check, entry point), both called with one case's keyword arguments
 PAIRS = {
@@ -48,6 +53,7 @@ PAIRS = {
         lambda n, h, auction, samples: monte_carlo_under_d(n, h, auction, samples, 0, threads=1),
     ),
     "demo": (certify.check_demo, dop_unboundedness_demo),
+    "identities": (certify.check_identities, check_distribution_identities),
 }
 
 
@@ -74,16 +80,22 @@ PAIRS = {
     ("mc", dict(n=4, h=2, auction="dop", samples=0), "samples must be >= 1"),
     ("mc", dict(n=4, h=2, auction="dop", samples=MC_SAMPLES_LIMIT + 1),
      f"exceeds the Monte Carlo limit {MC_SAMPLES_LIMIT}"),
+    ("mc", dict(PRINTABLE_EDGE, auction="dop", samples=1), PRINTABLE_MESSAGE),
     ("demo", dict(h=3), None),
     ("demo", dict(h=3, n=4), "n=4 must be divisible by h=3"),
     ("demo", dict(h=2, n=DEMO_N_LIMIT + 2), f"exceeds the demo limit {DEMO_N_LIMIT}"),
+    ("identities", dict(n=6, h=2), None),
+    ("identities", dict(n=7, h=2), "n=7 must be divisible by h=2"),
+    ("identities", dict(n=4290, h=10), None),
+    ("identities", PRINTABLE_EDGE, PRINTABLE_MESSAGE),
 ], ids=lambda value: (
     ",".join(f"{k}={v}" for k, v in value.items()) if isinstance(value, dict)
     else value or "accepted"
 ))
 def test_check_raises_what_its_entry_point_raises(pair, kwargs, message):
     check, entry = PAIRS[pair]
-    cheap = kwargs.get("n", kwargs["h"] ** 2) <= 10 and kwargs.get("samples", 0) <= 100
+    edge = kwargs.items() >= PRINTABLE_EDGE.items()
+    cheap = (kwargs.get("n", kwargs["h"] ** 2) <= 10 or edge) and kwargs.get("samples", 0) <= 100
     if message is None:
         check(**kwargs)
         if cheap:

@@ -186,7 +186,7 @@ def test_analysis_binds_only_the_certify_names_it_uses():
     assert bound == {
         "DEFAULT_ENUMERATION_LIMIT", "IdentityCheckError", "Loss", "LossProfile",
         "_check_sweep_args", "_require_enumerable", "check_block_sweep",
-        "check_monte_carlo",
+        "check_identities", "check_monte_carlo",
         # read as analysis.X by perfbench
         "worst_case_sweep", "additive_loss",
     }
