@@ -326,8 +326,8 @@ def _sweep_domain(ns: argparse.Namespace) -> None:
     certify._require_normalizable(ns.n, ns.h)
 
 
-# The per-count table costs about 0.04 ms and 1.8 KB per row: its 2**16 + 1
-# rows at this cap took 2.7 s at h = 10, with a 122 MB process peak.
+# The per-count table costs about 0.02 ms and 1.1 KB per row: its 2**16 + 1
+# rows at this cap took 1.4 s at h = 10, with an 89 MB process peak.
 EXPECTATION_N_LIMIT = 1 << 16
 
 

@@ -3,19 +3,21 @@
 The offer probabilities and expected revenues in this library live in
 Q(sqrt(m)) for small integer radicands m, so floating point is never good
 enough when two quantities have to be compared or asserted equal.  SurdSum
-keeps every value as a sum of rational multiples of square roots of
-square-free integers.  Because {sqrt(r) : r square-free} is linearly
-independent over Q, a normalized SurdSum is zero iff it has no terms, and
-every nonzero value has a sign that interval refinement is guaranteed to
-resolve.
+keeps every value on plain integers, as (sum_i n_i * sqrt(r_i)) / den: one
+common denominator den > 0 over integer numerators n_i != 0, with
+square-free radicands r_i and gcd(den, n_1, n_2, ...) = 1.  Because
+{sqrt(r) : r square-free} is linearly independent over Q, this normal form
+is unique, a value is zero iff it has no terms, and every nonzero value has
+a sign that interval refinement is guaranteed to resolve.  No arithmetic
+builds a Fraction; only the `terms` view and `as_fraction` return them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, lcm, sqrt
-from typing import Iterable, Union
+from math import gcd, isqrt, sqrt
+from typing import Union
 
 RationalLike = Union[int, Fraction]
 ExactLike = Union[int, Fraction, "SurdSum"]
@@ -23,7 +25,7 @@ ExactLike = Union[int, Fraction, "SurdSum"]
 # Entries kept by each per-count memo (square_free here, the offer
 # probabilities, expected revenues, thresholds and moduli in auctions), so a
 # process that prints table after table stays bounded: eight expectation
-# tables at n = 20000 peak at about 51 MB.  Two passes of the benchmark's
+# tables at n = 20000 peak at about 49 MB.  Two passes of the benchmark's
 # exact-report workload touch at most 2584 entries of each, so it evicts
 # none of them.
 MEMO_SIZE = 1 << 14
@@ -66,127 +68,168 @@ def ceil_scaled_sqrt(mult: int, m: int) -> int:
     return t if t * t == v else t + 1
 
 
+def _ratio(q: RationalLike) -> tuple[int, int]:
+    """(numerator, denominator) of a rational, denominator > 0; an int or a
+    Fraction carries both already."""
+    if not isinstance(q, (int, Fraction)):
+        q = Fraction(q)
+    return q.numerator, q.denominator
+
+
 class SurdSum:
-    """Immutable exact value sum_i c_i * sqrt(r_i), c_i rational, r_i square-free.
+    """Immutable exact value (sum_i n_i * sqrt(r_i)) / den, in the normal form
+    of the module docstring.
 
     Supports +, -, *, division by rationals, and total-order comparisons
     against SurdSum, Fraction, and int.  Radicand 1 carries the rational part.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_nums", "_den")
 
-    def __init__(self, terms: Iterable[tuple[int, Fraction]] = ()):
-        # terms must already be normalized: square-free radicands, no zeros.
-        object.__setattr__(self, "_terms", tuple(terms))
+    def __init__(self, nums: tuple[tuple[int, int], ...] = (), den: int = 1):
+        # (radicand, numerator) pairs and den must already be in normal form;
+        # SurdSum() is zero
+        self._nums = nums
+        self._den = den
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def _reduced(cls, nums: tuple[tuple[int, int], ...], den: int) -> "SurdSum":
+        """The normal form of sorted pairs with no zero numerator over den > 0:
+        the one place that divides out gcd(den, n_1, n_2, ...)."""
+        g = gcd(den, *(c for _, c in nums))
+        if g != 1:
+            nums = tuple((r, c // g) for r, c in nums)
+            den //= g
+        return cls(nums, den)
 
     @classmethod
     def of(cls, value: ExactLike) -> "SurdSum":
         if isinstance(value, SurdSum):
             return value
-        q = Fraction(value)
-        return cls(((1, q),) if q else ())
+        # an int, or a Fraction, which is in lowest terms already
+        num, den = _ratio(value)
+        return cls(((1, num),), den) if num else cls()
 
     @classmethod
     def multiple(cls, coeff: RationalLike, radicand: int) -> "SurdSum":
         """The value coeff * sqrt(radicand)."""
         if radicand < 0:
             raise ValueError("radicand must be nonnegative")
-        q = Fraction(coeff)
-        if q == 0 or radicand == 0:
+        num, den = _ratio(coeff)
+        if num == 0 or radicand == 0:
             return cls()
         s, r = square_free(radicand)
-        q *= s
-        return cls(((r, q),))
+        return cls._reduced(((r, num * s),), den)
 
     @classmethod
     def root(cls, radicand: int) -> "SurdSum":
         return cls.multiple(1, radicand)
 
     @classmethod
-    def _from_map(cls, terms: dict[int, Fraction]) -> "SurdSum":
-        return cls(tuple(sorted((r, c) for r, c in terms.items() if c)))
+    def _from_map(cls, acc: dict[int, int], den: int) -> "SurdSum":
+        return cls._reduced(tuple(sorted((r, c) for r, c in acc.items() if c)), den)
 
     # -- predicates and conversions ----------------------------------------
 
     @property
     def terms(self) -> tuple[tuple[int, Fraction], ...]:
         """Normalized (radicand, coefficient) pairs; radicand 1 holds the rational part."""
-        return self._terms
+        return tuple((r, Fraction(c, self._den)) for r, c in self._nums)
+
+    @property
+    def int_terms(self) -> tuple[tuple[int, int, int], ...]:
+        """(radicand, numerator, denominator) of each of `terms`, as ints in
+        lowest terms, built without a Fraction."""
+        den = self._den
+        return tuple((r, c // gcd(c, den), den // gcd(c, den)) for r, c in self._nums)
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._nums
 
     @property
     def is_rational(self) -> bool:
-        return all(r == 1 for r, _ in self._terms)
+        return all(r == 1 for r, _ in self._nums)
 
     def as_fraction(self) -> Fraction:
-        if not self._terms:
+        if not self._nums:
             return Fraction(0)
         if not self.is_rational:
             raise ValueError(f"{self!r} is irrational")
-        return self._terms[0][1]
+        return Fraction(self._nums[0][1], self._den)
 
     def __float__(self) -> float:
-        return sum((float(c) * sqrt(r) for r, c in self._terms), 0.0)
+        return sum((float(c) * sqrt(r) for r, c in self.terms), 0.0)
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._nums)
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: ExactLike) -> "SurdSum":
         other = SurdSum.of(other)
-        acc = {r: c for r, c in self._terms}
-        for r, c in other._terms:
-            acc[r] = acc.get(r, Fraction(0)) + c
-        return SurdSum._from_map(acc)
+        d1, d2 = self._den, other._den
+        acc = {r: c * d2 for r, c in self._nums}
+        for r, c in other._nums:
+            acc[r] = acc.get(r, 0) + c * d1
+        return SurdSum._from_map(acc, d1 * d2)
 
     __radd__ = __add__
 
     def __neg__(self) -> "SurdSum":
-        return SurdSum(tuple((r, -c) for r, c in self._terms))
+        return SurdSum(tuple((r, -c) for r, c in self._nums), self._den)
 
     def __sub__(self, other: ExactLike) -> "SurdSum":
         return self + (-SurdSum.of(other))
 
     def __rsub__(self, other: ExactLike) -> "SurdSum":
-        return SurdSum.of(other) + (-self)
+        return -self + other
 
     def __mul__(self, other: ExactLike) -> "SurdSum":
-        if not isinstance(other, SurdSum):  # a rational scales each coefficient
-            q = Fraction(other)
-            return SurdSum(tuple((r, c * q) for r, c in self._terms) if q else ())
-        acc: dict[int, Fraction] = {}
-        for r1, c1 in self._terms:
-            for r2, c2 in other._terms:
+        if not isinstance(other, SurdSum):  # a rational scales each numerator
+            num, den = _ratio(other)
+            if not num:
+                return SurdSum()
+            return SurdSum._reduced(tuple((r, c * num) for r, c in self._nums), self._den * den)
+        acc: dict[int, int] = {}
+        for r1, c1 in self._nums:
+            for r2, c2 in other._nums:
                 # r1 = g*a and r2 = g*b are square-free, so a, b and g are
                 # pairwise coprime and r1*r2 = g*g * (a*b) with a*b square-free:
                 # the product needs no factoring
                 g = gcd(r1, r2)
                 r = r1 // g * (r2 // g)
-                acc[r] = acc.get(r, Fraction(0)) + c1 * c2 * g
-        return SurdSum._from_map(acc)
+                acc[r] = acc.get(r, 0) + c1 * c2 * g
+        return SurdSum._from_map(acc, self._den * other._den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: RationalLike) -> "SurdSum":
-        q = Fraction(other)
-        return SurdSum(tuple((r, c / q) for r, c in self._terms))
+        num, den = _ratio(other)
+        if not num:
+            raise ZeroDivisionError("SurdSum division by zero")
+        if num < 0:  # the sign moves to the numerators: den stays positive
+            num, den = -num, -den
+        return SurdSum._reduced(tuple((r, c * den) for r, c in self._nums), self._den * num)
 
     # -- sign and ordering -------------------------------------------------
 
     def _bounds(self, bits: int) -> tuple[int, int, int]:
         """Integers (lo, hi, unit) with lo <= self * unit <= hi, where
-        unit = D * 2**bits for the common denominator D of the coefficients;
-        each irrational term widens the interval by 1."""
-        den = lcm(*(c.denominator for _, c in self._terms))
+        unit = den * 2**bits; each irrational term widens the interval by 1.
+
+        den is the lcm of the denominators of the reduced coefficients
+        n_i / den, so these are the bounds over their least common
+        denominator.  Each such denominator is den / g_i with
+        g_i = gcd(n_i, den), a divisor of den, and an lcm of divisors
+        den / g_i of den is den / gcd_i(g_i) = den / gcd(den, n_1, n_2, ...),
+        which the normal form makes den / 1.  Over it, term i's numerator is
+        (n_i / g_i) * g_i = n_i.
+        """
         lo = hi = 0
-        for r, c in self._terms:
-            p = c.numerator * (den // c.denominator)
+        for r, p in self._nums:
             if r == 1:
                 lo += p << bits
                 hi += p << bits
@@ -198,14 +241,14 @@ class SurdSum:
             else:
                 lo -= x + 1
                 hi -= x
-        return lo, hi, den << bits
+        return lo, hi, self._den << bits
 
     def sign(self) -> int:
-        if not self._terms:
+        if not self._nums:
             return 0
-        if all(c > 0 for _, c in self._terms):
+        if all(c > 0 for _, c in self._nums):
             return 1
-        if all(c < 0 for _, c in self._terms):
+        if all(c < 0 for _, c in self._nums):
             return -1
         bits = 32
         while True:
@@ -220,13 +263,14 @@ class SurdSum:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (SurdSum, int, Fraction)):
             # the normal form is unique, by linear independence
-            return self._terms == SurdSum.of(other)._terms
+            other = SurdSum.of(other)
+            return self._den == other._den and self._nums == other._nums
         return NotImplemented
 
     def __hash__(self) -> int:
-        if self.is_rational:
+        if self.is_rational:  # equal to an int or Fraction, so hash like it
             return hash(self.as_fraction())
-        return hash(self._terms)
+        return hash((self._nums, self._den))
 
     def _compare(self, other: ExactLike) -> int:
         """The sign of self - other.  Disjoint 64-bit intervals from _bounds
@@ -273,9 +317,9 @@ class SurdSum:
         return f"{sign}{k // scale}.{k % scale:0{digits}d}"
 
     def __repr__(self) -> str:
-        if not self._terms:
+        if not self._nums:
             return "SurdSum(0)"
-        parts = [f"{c}*sqrt({r})" if r != 1 else str(c) for r, c in self._terms]
+        parts = [f"{c}*sqrt({r})" if r != 1 else str(c) for r, c in self.terms]
         return f"SurdSum({' + '.join(parts)})"
 
 
@@ -290,11 +334,12 @@ def bernoulli_threshold(p: ExactLike) -> int:
     [0, 2**64], from one integer square root.
     """
     p = SurdSum.of(p)
-    if len(p.terms) > 1:
+    if len(p._nums) > 1:
         raise ValueError(f"bernoulli_threshold needs a rational or one-term surd, got {p!r}")
-    if p.is_zero or p.terms[0][1] < 0:
+    if p.is_zero or p._nums[0][1] < 0:
         return 0
-    ((r, q),) = p.terms
+    # one term: gcd(num, den) = 1, so num / den is its coefficient in lowest terms
+    ((r, num),) = p._nums
     # smallest t with t * den >= num * 2**64 * sqrt(r)
-    t = -(-ceil_scaled_sqrt(q.numerator << 64, r) // q.denominator)
+    t = -(-ceil_scaled_sqrt(num << 64, r) // p._den)
     return min(t, 1 << 64)

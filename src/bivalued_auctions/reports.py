@@ -76,8 +76,8 @@ def _json_cell(value: Cell) -> object:
         # exact sum of rational multiples of square roots, plus a decimal
         return {
             "terms": [
-                {"radicand": r, "num": str(c.numerator), "den": str(c.denominator)}
-                for r, c in value.terms
+                {"radicand": r, "num": str(num), "den": str(den)}
+                for r, num, den in value.int_terms
             ],
             "decimal": decimal_string(value),
         }

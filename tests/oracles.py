@@ -51,16 +51,22 @@ def ceil_mult_sqrt(mult: int, m: int) -> int:
     return t
 
 
-def derand_offers(bids: list[int], h: int) -> list[int]:
+def derand_state(bids: list[int], h: int, i1: int) -> tuple[int, int, int, int, int]:
+    """(a, b, X, Y, z) of the modular rule for bidder i1 (1-based)."""
     n = len(bids)
+    m = others_high(bids, h, i1)
+    a = h * m - n
+    b_val = max(1, ceil_mult_sqrt(h, m))
+    x = sum(j for j, v in enumerate(bids, start=1) if j != i1 and v == h)
+    y = sum(1 for j, v in enumerate(bids, start=1) if j < i1 and v == h)
+    z = (i1 + x + (b_val - 1) * y) % b_val
+    return a, b_val, x, y, z
+
+
+def derand_offers(bids: list[int], h: int) -> list[int]:
     offers = []
-    for i1 in range(1, n + 1):
-        m = others_high(bids, h, i1)
-        a = h * m - n
-        b_val = max(1, ceil_mult_sqrt(h, m))
-        x = sum(j for j, v in enumerate(bids, start=1) if j != i1 and v == h)
-        y = sum(1 for j, v in enumerate(bids, start=1) if j < i1 and v == h)
-        z = (i1 + x + (b_val - 1) * y) % b_val
+    for i1 in range(1, len(bids) + 1):
+        a, _, _, _, z = derand_state(bids, h, i1)
         offers.append(h if z < a else 1)
     return offers
 
@@ -151,6 +157,39 @@ def surd_to_decimal(terms, digits: int) -> str:
     if digits == 0:
         return f"{sign}{k}"
     return f"{sign}{k // scale}.{k % scale:0{digits}d}"
+
+
+def split_square(m: int) -> tuple[int, int]:
+    """(s, r) with m = s*s*r and r square-free, by dividing out every square."""
+    s, r, d = 1, m, 2
+    while d * d <= r:
+        while r % (d * d) == 0:
+            r //= d * d
+            s *= d
+        d += 1
+    return s, r
+
+
+def surd_dict(pairs) -> dict[int, Fraction]:
+    """sum of c * sqrt(m) over (m, c) pairs, m >= 1, as a map from each
+    square-free radicand to its nonzero Fraction coefficient."""
+    out: dict[int, Fraction] = {}
+    for m, c in pairs:
+        s, r = split_square(m)
+        out[r] = out.get(r, Fraction(0)) + Fraction(c) * s
+    return {r: c for r, c in out.items() if c}
+
+
+def surd_dict_add(a: dict[int, Fraction], b: dict[int, Fraction]) -> dict[int, Fraction]:
+    return surd_dict(list(a.items()) + list(b.items()))
+
+
+def surd_dict_scale(a: dict[int, Fraction], q: Fraction) -> dict[int, Fraction]:
+    return surd_dict((r, c * q) for r, c in a.items())
+
+
+def surd_dict_mul(a: dict[int, Fraction], b: dict[int, Fraction]) -> dict[int, Fraction]:
+    return surd_dict((r1 * r2, c1 * c2) for r1, c1 in a.items() for r2, c2 in b.items())
 
 
 def lex_least_bids(n: int, h: int, k: int, index_sum: int) -> list[int]:

@@ -71,11 +71,15 @@ class TestState:
                     assert 0 <= s.z_val < s.b_val
 
     def test_state_ignores_own_bid(self):
+        # the state from the view without bidder i's bid, against the oracle's
+        # state for bidder i on the full bids with that bid flipped
         p = AuctionParams(8, 3)
         for mask in range(1 << 8):
             b = BidVector(p, mask)
             for i in range(1, 9):
-                assert derand_state(b.mask_bidder(i)) == derand_state(b.flip(i).mask_bidder(i))
+                s = derand_state(b.mask_bidder(i))
+                got = (s.a_val, s.b_val, s.x_val, s.y_val, s.z_val)
+                assert got == oracles.derand_state(list(b.flip(i).bids), 3, i), (mask, i)
 
 
 class TestRun:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import floor, isqrt
+from math import floor, gcd, isqrt
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,16 +16,6 @@ from bivalued_auctions.exact import (
     ceil_scaled_sqrt,
     square_free,
 )
-
-
-def brute_square_free(m: int) -> tuple[int, int]:
-    s, r, d = 1, m, 2
-    while d * d <= r:
-        while r % (d * d) == 0:
-            r //= d * d
-            s *= d
-        d += 1
-    return s, r
 
 
 def test_square_free_small_cases():
@@ -41,7 +31,7 @@ def test_square_free_small_cases():
 def test_square_free_matches_brute_force(m):
     s, r = square_free(m)
     assert s * s * r == m
-    assert (s, r) == brute_square_free(m)
+    assert (s, r) == oracles.split_square(m)
 
 
 @pytest.mark.parametrize(
@@ -55,7 +45,7 @@ def test_square_free_matches_brute_force(m):
     ],
 )
 def test_square_free_beyond_the_cube_root(m):
-    assert square_free(m) == brute_square_free(m)
+    assert square_free(m) == oracles.split_square(m)
 
 
 def test_square_free_of_huge_radicands():
@@ -313,6 +303,92 @@ class TestSurdSum:
         lt, eq, gt = v < q, v == q, v > q
         assert [lt, eq, gt].count(True) == 1
         assert eq is False  # sqrt(2)/2 is irrational
+
+
+# radicands that meet (2, 8, 18, 50), cancel to rationals (4, 9, 25) or
+# stay apart, and coefficients over several denominators
+SURD_PAIRS = st.lists(
+    st.tuples(
+        st.one_of(st.sampled_from([1, 2, 3, 4, 6, 8, 9, 12, 18, 25, 50]), st.integers(1, 300)),
+        st.fractions(max_denominator=60),
+    ),
+    max_size=4,
+)
+RATIONALS = st.one_of(st.integers(-60, 60), st.fractions(max_denominator=60))
+
+
+def surd_of(pairs) -> SurdSum:
+    total = SurdSum()
+    for radicand, coeff in pairs:
+        total = total + SurdSum.multiple(coeff, radicand)
+    return total
+
+
+def assert_normal_form(x: SurdSum) -> None:
+    nums, den = x._nums, x._den
+    radicands = [r for r, _ in nums]
+    assert type(den) is int and den > 0
+    assert all(type(c) is int and c != 0 for _, c in nums)
+    assert gcd(den, *(c for _, c in nums)) == 1
+    assert radicands == sorted(set(radicands))
+    assert all(oracles.split_square(r) == (1, r) for r in radicands)
+
+
+def oracle_terms(d: dict) -> tuple:
+    return tuple(sorted(d.items()))
+
+
+class TestNormalForm:
+    """SurdSum against a plain-Fraction map {radicand: coefficient}."""
+
+    @given(SURD_PAIRS, SURD_PAIRS, RATIONALS)
+    def test_arithmetic_matches_the_fraction_oracle(self, left, right, q):
+        a, b = surd_of(left), surd_of(right)
+        da, db = oracles.surd_dict(left), oracles.surd_dict(right)
+        neg_b = oracles.surd_dict_scale(db, Fraction(-1))
+        cases = [
+            (a, da),
+            (a + b, oracles.surd_dict_add(da, db)),
+            (a - b, oracles.surd_dict_add(da, neg_b)),
+            (a * b, oracles.surd_dict_mul(da, db)),
+            (a * q, oracles.surd_dict_scale(da, Fraction(q))),
+            (q * a, oracles.surd_dict_scale(da, Fraction(q))),
+            (a + q, oracles.surd_dict_add(da, {1: Fraction(q)} if q else {})),
+            (q - b, oracles.surd_dict_add(neg_b, {1: Fraction(q)} if q else {})),
+            (SurdSum.of(q), {1: Fraction(q)} if q else {}),
+        ]
+        if q:
+            cases.append((a / q, oracles.surd_dict_scale(da, 1 / Fraction(q))))
+        for got, want in cases:
+            assert_normal_form(got)
+            assert got.terms == oracle_terms(want), (got, want)
+
+    @given(SURD_PAIRS, SURD_PAIRS, RATIONALS)
+    def test_equality_and_hash_match_the_fraction_oracle(self, left, right, q):
+        a, b = surd_of(left), surd_of(right)
+        da, db = oracles.surd_dict(left), oracles.surd_dict(right)
+        assert (a == b) == (da == db)
+        # the same value by other routes has the same normal form
+        for same in (surd_of(reversed(left)), a * q / q if q else a + b - b):
+            assert same == a and hash(same) == hash(a)
+        if all(r == 1 for r in da):  # a rational value equals, and hashes like, its Fraction
+            value = da.get(1, Fraction(0))
+            assert a == value and value == a and hash(a) == hash(value)
+            if value.denominator == 1:
+                assert a == value.numerator and hash(a) == hash(value.numerator)
+        else:
+            assert a != da.get(1, Fraction(0))
+
+    @given(SURD_PAIRS, RATIONALS)
+    def test_int_terms_are_the_terms_in_lowest_terms(self, pairs, q):
+        x = surd_of(pairs) * q
+        assert x.int_terms == tuple((r, c.numerator, c.denominator) for r, c in x.terms)
+
+    def test_division_by_zero_raises(self):
+        for x in (SurdSum(), SurdSum.of(0), SurdSum.root(2), SurdSum.of(Fraction(-1, 3))):
+            for zero in (0, Fraction(0)):
+                with pytest.raises(ZeroDivisionError):
+                    x / zero
 
 
 def search_threshold(p) -> int:

@@ -7,9 +7,12 @@ sweep does not exercise.
 
 from __future__ import annotations
 
+from decimal import Decimal
+
 import numpy as np
 import pytest
 
+import oracles
 from bivalued_auctions import (
     AUCTION_NAMES,
     AuctionParams,
@@ -53,25 +56,38 @@ def test_domain_rejects_before_any_enumeration(monkeypatch):
 @pytest.mark.parametrize("n,h", [(8, 2), (9, 3)])
 def test_probability_route_flip_invariant(n, h):
     # the vectorized sweep reasons through the count statistic; this walks the
-    # actual masked-view call for every vector and bidder
+    # actual masked-view call for every vector and bidder, against the
+    # oracle's probability for bidder i with its own bid flipped
     p = AuctionParams(n, h)
     for mask in range(1 << n):
         b = BidVector(p, mask)
         for i in range(1, n + 1):
-            before = random_offer_probability(b.mask_bidder(i))
-            after = random_offer_probability(b.flip(i).mask_bidder(i))
-            assert before == after
+            got = Decimal(random_offer_probability(b.mask_bidder(i)).to_decimal(40))
+            flipped = list(b.flip(i).bids)
+            want = oracles.random_offer_probability_decimal(
+                n, h, oracles.others_high(flipped, h, i)
+            )
+            assert abs(got - want) < Decimal(10) ** -35, (mask, i)
 
 
 @pytest.mark.parametrize("auction", ["dop", "threshold-dop", "derand"])
-def test_offer_rule_flip_invariant_scalar(auction):
-    n, h = 8, 2
+@pytest.mark.parametrize("n,h", [(8, 2), (9, 2)])  # at (9, 2) DOP meets its tie h*n_h = n - 1
+def test_offer_rule_flip_invariant_scalar(auction, n, h):
+    if auction == "threshold-dop" and n % h:
+        return
     p = AuctionParams(n, h)
     rule = offer_rule(auction)
+    oracle = {
+        "dop": oracles.dop_offers,
+        "threshold-dop": oracles.threshold_dop_offers,
+        "derand": oracles.derand_offers,
+    }[auction]
     for mask in range(1 << n):
         b = BidVector(p, mask)
         for i in range(1, n + 1):
-            assert rule(b.mask_bidder(i)) == rule(b.flip(i).mask_bidder(i))
+            # the rule on the view without bidder i's bid, against the oracle's
+            # offer to bidder i on the full bids with that bid flipped
+            assert rule(b.mask_bidder(i)) == oracle(list(b.flip(i).bids), h)[i - 1], (mask, i)
 
 
 def _smallest_witnesses(n: int, differs) -> list[tuple[int, int]]:
