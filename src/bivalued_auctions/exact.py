@@ -10,6 +10,12 @@ square-free radicands r_i and gcd(den, n_1, n_2, ...) = 1.  Because
 is unique, a value is zero iff it has no terms, and every nonzero value has
 a sign that interval refinement is guaranteed to resolve.  No arithmetic
 builds a Fraction; only the `terms` view and `as_fraction` return them.
+
+Operands are exact or rejected: of, +, -, *, the orderings and
+bernoulli_threshold take an int, a Fraction or a SurdSum, and a divisor or
+multiple's coefficient an int or a Fraction; anything else, a float, str,
+Decimal or numpy scalar included, raises TypeError.  == with a float, str
+or Decimal is False, and != True; numpy answers == with its own scalars.
 """
 
 from __future__ import annotations
@@ -70,9 +76,14 @@ def ceil_scaled_sqrt(mult: int, m: int) -> int:
 
 def _ratio(q: RationalLike) -> tuple[int, int]:
     """(numerator, denominator) of a rational, denominator > 0; an int or a
-    Fraction carries both already."""
+    Fraction carries both already.
+
+    These are the only rational operands: a float, str, Decimal or numpy
+    scalar raises TypeError here, so every operation that takes a rational
+    rejects them alike, rather than converting some of them inexactly.
+    """
     if not isinstance(q, (int, Fraction)):
-        q = Fraction(q)
+        raise TypeError(f"a rational operand is an int or a Fraction, not {type(q).__name__}")
     return q.numerator, q.denominator
 
 

@@ -1,0 +1,186 @@
+"""Mutation checks: each entry breaks the package in one known way, and the
+tests it names must catch it.
+
+    python tests/mutants.py [NAME ...]
+
+For each entry of MUTANTS (all of them, or those NAMEd), the runner copies
+the repository to a temporary directory, checks that the entry's old text
+occurs exactly once in its file there, replaces it with the new text, and
+runs the entry's test node ids against the copy's src/.  Each node id must
+fail: one that passes is a survivor.  First, every named node id runs once
+on an unmutated copy, where each must pass.  The runner prints one line per
+entry and exits 1 on a survivor, a stale anchor or a broken run, else 0.
+
+tests/test_mutants.py checks, within tier-1, only that every anchor occurs
+once and that every node id names a test defined in its file.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+_IGNORE = shutil.ignore_patterns(
+    ".git", ".hypothesis", ".pytest_cache", "__pycache__", ".perfbench", ".benchmarks", "*.egg-info"
+)
+_REPORT = re.compile(r"^(PASSED|FAILED|ERROR) (\S+)", re.MULTILINE)
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the repository root
+    old: str  # occurs exactly once in path
+    new: str
+    tests: tuple[str, ...]  # node ids, each of which must fail
+
+
+EXACT = "src/bivalued_auctions/exact.py"
+AUCTIONS = "src/bivalued_auctions/auctions.py"
+NORMAL_FORM = (
+    "tests/test_exact.py::TestNormalForm::test_arithmetic_matches_the_fraction_oracle",
+    "tests/test_exact.py::TestNormalForm::test_equality_and_hash_match_the_fraction_oracle",
+)
+
+MUTANTS = (
+    Mutant(
+        "inexact operand through Fraction()", EXACT,
+        '        raise TypeError(f"a rational operand is an int or a Fraction, not {type(q).__name__}")',
+        "        q = Fraction(q)",
+        ("tests/test_exact.py::TestOperandContract::test_inexact_operand_raises",),
+    ),
+    Mutant(
+        "constructor skips the gcd", EXACT,
+        "        g = gcd(den, *(c for _, c in nums))",
+        "        g = 1",
+        NORMAL_FORM,
+    ),
+    Mutant(
+        "of(Fraction) drops the denominator", EXACT,
+        "        return cls(((1, num),), den) if num else cls()",
+        "        return cls(((1, num),), 1) if num else cls()",
+        NORMAL_FORM,
+    ),
+    Mutant(
+        "+ scales the wrong side", EXACT,
+        "        acc = {r: c * d2 for r, c in self._nums}",
+        "        acc = {r: c * d1 for r, c in self._nums}",
+        NORMAL_FORM,
+    ),
+    Mutant(
+        "/ by a negative leaves den negative", EXACT,
+        "            num, den = -num, -den",
+        "            num, den = num, den",
+        NORMAL_FORM,
+    ),
+    Mutant(
+        "bernoulli_threshold one too high", EXACT,
+        "    return min(t, 1 << 64)",
+        "    return min(t + 1, 1 << 64)",
+        ("tests/test_exact.py::TestBernoulliThreshold::test_threshold_is_minimal",),
+    ),
+    Mutant(
+        "DOP's tie h * n_h = n - 1 offers low", AUCTIONS,
+        "    return params.h if params.h * nh_i >= params.n - 1 else LOW_VALUE",
+        "    return params.h if params.h * nh_i > params.n - 1 else LOW_VALUE",
+        ("tests/test_truthfulness.py::test_offer_rule_flip_invariant_scalar[9-2-dop]",),
+    ),
+    Mutant(
+        "random offer probability's numerator a - 1", AUCTIONS,
+        "    return SurdSum.multiple(Fraction(a, h * nh_i), nh_i)",
+        "    return SurdSum.multiple(Fraction(a - 1, h * nh_i), nh_i)",
+        (
+            "tests/test_truthfulness.py::test_probability_route_flip_invariant[8-2]",
+            "tests/test_truthfulness.py::test_probability_route_flip_invariant[9-3]",
+        ),
+    ),
+    Mutant(
+        "derand's z without i", AUCTIONS,
+        "    z = (i + x + (b_val - 1) * y) % b_val",
+        "    z = (x + (b_val - 1) * y) % b_val",
+        (
+            "tests/test_truthfulness.py::test_offer_rule_flip_invariant_scalar[9-2-derand]",
+            "tests/test_derand.py::TestState::test_state_ignores_own_bid",
+        ),
+    ),
+)
+
+
+def _copy(tmp: str) -> Path:
+    copy = Path(tmp) / "repo"
+    shutil.copytree(ROOT, copy, ignore=_IGNORE)
+    return copy
+
+
+def _run(copy: Path, tests: tuple[str, ...]) -> tuple[int, dict[str, str], str]:
+    """pytest's exit code, {reported node id: PASSED | FAILED | ERROR} and its
+    output, for tests run in copy against copy/src."""
+    env = {**os.environ, "PYTHONPATH": str(copy / "src")}
+    argv = [sys.executable, "-m", "pytest", "-q", "-rA", "-p", "no:cacheprovider", *tests]
+    run = subprocess.run(argv, cwd=copy, env=env, capture_output=True, text=True)
+    return run.returncode, {m[2]: m[1] for m in _REPORT.finditer(run.stdout)}, run.stdout
+
+
+def _selected(test: str, reports: dict[str, str]) -> list[str]:
+    """The outcomes of the tests that node id `test` selects."""
+    return [out for nodeid, out in reports.items() if nodeid == test or nodeid.startswith(test + "[")]
+
+
+def baseline(mutants: list[Mutant]) -> list[str]:
+    """Problems with the named tests on an unmutated copy, where each must
+    pass: a test that fails there would kill every mutant."""
+    tests = tuple(dict.fromkeys(t for m in mutants for t in m.tests))
+    with tempfile.TemporaryDirectory() as tmp:
+        code, reports, output = _run(_copy(tmp), tests)
+    problems = [t for t in tests if set(_selected(t, reports)) != {"PASSED"}]
+    if code != 0 or problems:
+        return [f"exit {code}; not passing unmutated: {problems}\n{output[-2000:]}"]
+    return []
+
+
+def check(mutant: Mutant) -> str:
+    """'' when every node id of mutant fails on the mutated copy, else why not."""
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = _copy(tmp)
+        target = copy / mutant.path
+        source = target.read_text(encoding="utf-8")
+        count = source.count(mutant.old)
+        if count != 1:
+            return f"stale anchor: the old text occurs {count} times in {mutant.path}"
+        target.write_text(source.replace(mutant.old, mutant.new), encoding="utf-8")
+        code, reports, output = _run(copy, mutant.tests)
+    if code not in (0, 1):
+        return f"pytest exited {code}\n{output[-2000:]}"
+    survivors = [t for t in mutant.tests if "FAILED" not in _selected(t, reports)]
+    return f"survived {survivors}" if survivors else ""
+
+
+def main(argv: list[str]) -> int:
+    chosen = [m for m in MUTANTS if not argv or m.name in argv]
+    unknown = set(argv) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"no mutant named {sorted(unknown)}", file=sys.stderr)
+        return 2
+    start = time.perf_counter()
+    problems = baseline(chosen)
+    for problem in problems:
+        print(f"baseline: {problem}")
+    for mutant in chosen:
+        began = time.perf_counter()
+        verdict = check(mutant)
+        print(f"{'killed' if not verdict else 'FAIL':6}  {mutant.name}  "
+              f"({time.perf_counter() - began:.1f} s){': ' + verdict if verdict else ''}")
+        problems += [verdict] if verdict else []
+    print(f"{len(chosen)} mutants, {len(problems)} problems, {time.perf_counter() - start:.1f} s")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

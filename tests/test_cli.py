@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bivalued_auctions import analysis, certify, cli
+from bivalued_auctions import analysis, certify, cli, reports
 from bivalued_auctions.cli import main
 from bivalued_auctions.reports import CSV_COLUMNS
 
@@ -111,6 +111,27 @@ class TestOtherCommands:
         assert [r["auction"] for r in rows] == ["derand", "opt"]
         assert rows[0]["samples"] == 2000 and rows[0]["seed"] == 3
         assert rows[0]["exact_e_dop"]["num"] == "12"
+
+    def test_mc_one_sample_has_zero_stderr(self, capsys):
+        # one draw has no spread to estimate: each row prints stderr 0.0
+        code, out, err = run_cli(
+            capsys, "mc", "--n", "4", "--h", "2", "--auction", "dop", "--samples", "1", "--seed", "1"
+        )
+        assert (code, err) == (0, "")
+        rows = [dict(zip(CSV_COLUMNS, line.split(","))) for line in out.splitlines()[1:]]
+        assert [(r["auction"], r["samples"], r["stderr"]) for r in rows] == [
+            ("dop", "1", "0.0"), ("opt", "1", "0.0")
+        ]
+
+
+class TestRender:
+    def test_unknown_format_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown output format 'xml'"):
+            reports.render([{"command": "sweep", "n": 4}], "xml")
+
+    def test_boolean_cell_is_rejected(self):
+        with pytest.raises(TypeError, match="booleans have no CSV cell form"):
+            reports.render([{"n": True}], "csv")
 
 
 class TestDeterminism:
@@ -382,6 +403,19 @@ class TestBatch:
         code, _, err = run_cli(capsys, "batch", str(path))
         assert code == 1
         assert "parse failure at line" in err
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ('{"command": "dist-d", "n": 4, "h": 2}', "top level must be a JSON array"),
+            ("[" * 100000 + "]" * 100000, "parse failure: nested too deeply"),
+        ],
+        ids=["object", "deep"],
+    )
+    def test_config_shape_errors(self, capsys, tmp_path, text, message):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        assert run_cli(capsys, "batch", str(path)) == (1, "", f"error: {path}: {message}\n")
 
     def test_missing_file_is_one(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "batch", str(tmp_path / "absent.json"))

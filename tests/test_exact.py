@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from math import floor, gcd, isqrt
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import oracles
 from bivalued_auctions.auctions import offer_probability_by_count
@@ -364,6 +366,8 @@ class TestNormalForm:
             assert got.terms == oracle_terms(want), (got, want)
 
     @given(SURD_PAIRS, SURD_PAIRS, RATIONALS)
+    # a rational value that is no integer, which few drawn examples are
+    @example([(4, Fraction(1, 6))], [], 0)
     def test_equality_and_hash_match_the_fraction_oracle(self, left, right, q):
         a, b = surd_of(left), surd_of(right)
         da, db = oracles.surd_dict(left), oracles.surd_dict(right)
@@ -389,6 +393,49 @@ class TestNormalForm:
             for zero in (0, Fraction(0)):
                 with pytest.raises(ZeroDivisionError):
                     x / zero
+
+
+X = SurdSum.root(2) + Fraction(1, 3)
+# every operation that takes an operand, and whether the operand is its left side
+OPERATIONS = {
+    "of": (SurdSum.of, False),
+    "multiple": (lambda q: SurdSum.multiple(q, 2), False),
+    "add": (lambda q: X + q, False),
+    "radd": (lambda q: q + X, True),
+    "sub": (lambda q: X - q, False),
+    "rsub": (lambda q: q - X, True),
+    "mul": (lambda q: X * q, False),
+    "rmul": (lambda q: q * X, True),
+    "truediv": (lambda q: X / q, False),
+    "lt": (lambda q: X < q, False),
+    "le": (lambda q: X <= q, False),
+    "gt": (lambda q: X > q, False),
+    "ge": (lambda q: X >= q, False),
+    "bernoulli_threshold": (bernoulli_threshold, False),
+}
+# a numpy scalar on the left turns itself into an int before SurdSum sees it
+INEXACT_CASES = [
+    pytest.param(call, operand, id=f"{name}-{type(operand).__name__}")
+    for name, (call, left) in OPERATIONS.items()
+    for operand in (0.5, "3", Decimal("0.1"), np.int64(3))
+    if not (left and isinstance(operand, np.generic))
+]
+
+
+class TestOperandContract:
+    """int, Fraction and SurdSum operands only: anything else is a TypeError
+    that names its type, and == with it is False."""
+
+    @pytest.mark.parametrize("call,operand", INEXACT_CASES)
+    def test_inexact_operand_raises(self, call, operand):
+        with pytest.raises(TypeError, match=type(operand).__name__):
+            call(operand)
+
+    @pytest.mark.parametrize("operand", [0.5, 1.0, "1", Decimal(1)], ids=repr)
+    def test_equality_with_inexact_operand_is_false(self, operand):
+        # a numpy scalar on the right decides == itself, so it is left out
+        one = SurdSum.of(1)
+        assert (one == operand) is False and (one != operand) is True
 
 
 def search_threshold(p) -> int:

@@ -4,8 +4,8 @@ Each cell is a `normalized_loss` decimal as `--format json` prints it, and
 each worst-k cell the row's `n_h`: `sweep --auction derand|random` for the
 auction columns, `dist-d` for the floor where h | n.  Every random and floor
 cell is checked here, and every derand cell with n <= 500; CI checks the
-derand cells at n = 1000, and those at n = 2000 (about a minute each) are
-left out.
+derand cells at n = 1000 and at (2000, 10), and those at (2000, 50) and
+(2000, 100) (10 s or more each) are left out.
 """
 
 from __future__ import annotations
