@@ -44,9 +44,14 @@ class Mutant(NamedTuple):
 
 EXACT = "src/bivalued_auctions/exact.py"
 AUCTIONS = "src/bivalued_auctions/auctions.py"
+REPORTS = "src/bivalued_auctions/reports.py"
 NORMAL_FORM = (
     "tests/test_exact.py::TestNormalForm::test_arithmetic_matches_the_fraction_oracle",
     "tests/test_exact.py::TestNormalForm::test_equality_and_hash_match_the_fraction_oracle",
+)
+JSON_ORACLE = (
+    "tests/test_render_json.py::test_edge_cell_matches_the_oracle",
+    "tests/test_render_json.py::test_every_edge_in_one_row_matches_the_oracle",
 )
 
 MUTANTS = (
@@ -109,6 +114,30 @@ MUTANTS = (
             "tests/test_truthfulness.py::test_offer_rule_flip_invariant_scalar[9-2-derand]",
             "tests/test_derand.py::TestState::test_state_ignores_own_bid",
         ),
+    ),
+    Mutant(
+        "JSON's 2**53 bound off by one", REPORTS,
+        "        return str(value) if abs(value) < 1 << 53 else f'\"{value}\"'",
+        "        return str(value) if abs(value) <= 1 << 53 else f'\"{value}\"'",
+        JSON_ORACLE,
+    ),
+    Mutant(
+        "JSON surd term objects two spaces short", REPORTS,
+        '        q = p + "    "',
+        '        q = p + "  "',
+        (*JSON_ORACLE, "tests/test_cli_golden.py::test_output_is_byte_identical"),
+    ),
+    Mutant(
+        "JSON keys not escaped", REPORTS,
+        "    return _string(key if isinstance(key, str) else json.dumps(key))",
+        "    return f'\"{key}\"'",
+        JSON_ORACLE,
+    ),
+    Mutant(
+        "JSON floats through repr", REPORTS,
+        "        return json.dumps(value)",
+        "        return repr(value).lower()",
+        JSON_ORACLE,
     ),
 )
 

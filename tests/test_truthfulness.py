@@ -73,10 +73,13 @@ def test_probability_route_flip_invariant(n, h):
 @pytest.mark.parametrize("auction", ["dop", "threshold-dop", "derand"])
 @pytest.mark.parametrize("n,h", [(8, 2), (9, 2)])  # at (9, 2) DOP meets its tie h*n_h = n - 1
 def test_offer_rule_flip_invariant_scalar(auction, n, h):
-    if auction == "threshold-dop" and n % h:
-        return
     p = AuctionParams(n, h)
     rule = offer_rule(auction)
+    if auction == "threshold-dop" and n % h:
+        # threshold-DOP is defined only where h divides n, so its rule refuses the view
+        with pytest.raises(ValueError, match=f"^n={n} must be divisible by h={h}$"):
+            rule(BidVector(p, 0).mask_bidder(1))
+        return
     oracle = {
         "dop": oracles.dop_offers,
         "threshold-dop": oracles.threshold_dop_offers,
