@@ -72,6 +72,27 @@ def _mask_ranges(n: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + _MASK_RANGE, total)) for lo in range(0, total, _MASK_RANGE)]
 
 
+@lru_cache(maxsize=8)
+def _low_rows(size: int) -> np.ndarray:
+    """The bid matrix of masks 0 .. size-1 over log2(size) bidders, read-only.
+    Keyed by size, so a patched _MASK_RANGE gets its own block."""
+    block = enumeration.high_matrix(enumeration.mask_array(0, size), size.bit_length() - 1)
+    block.flags.writeable = False
+    return block
+
+
+def _range_matrix(lo: int, hi: int, n: int) -> np.ndarray:
+    """high_matrix(mask_array(lo, hi), n) for a range of _mask_ranges(n): its
+    size is a power of two that divides lo, so its low rows are the shared
+    block _low_rows(size) and each higher bidder's row is one constant bit
+    of lo."""
+    low = _low_rows(hi - lo)
+    high = np.empty((n, hi - lo), dtype=bool)
+    high[: len(low)] = low
+    high[len(low) :] = (lo >> np.arange(len(low), n) & 1)[:, None]
+    return high
+
+
 def _workers(threads: Optional[int]) -> int:
     """Pool width for `threads`: min(threads or cores, cores)."""
     cores = os.cpu_count() or 1
@@ -97,7 +118,7 @@ def _sweep_chunk(losses_of, n: int, lo: int, hi: int):
     """One mask range's worst loss per high count k, its worst loss, and the
     lex key and mask of its lex-least worst vector.  The high counts are one
     int8 column sum, which the per-count maximum and losses_of share."""
-    high = enumeration.high_matrix(enumeration.mask_array(lo, hi), n)
+    high = _range_matrix(lo, hi, n)
     k = high.sum(axis=0, dtype=np.int8)
     losses = losses_of(high, k)
     per_k = np.full(n + 1, _NEG_INF, dtype=np.int64)
@@ -251,7 +272,7 @@ def block_structure_sweep(
     n, h = params.n, params.h
     check_block_sweep(params, limit)
     for lo, hi in _mask_ranges(n):
-        high = enumeration.high_matrix(enumeration.mask_array(lo, hi), n)
+        high = _range_matrix(lo, hi, n)
         offered_h = enumeration.offers_for_bidder(high, h, "derand")
         failing = np.flatnonzero(_block_failures(high, offered_h, h))
         if failing.size:
@@ -282,12 +303,16 @@ def bid_independence_violations(
     function of.  The witness is the smallest mask whose flip changes
     bidder i's offer.
 
-    The mask ranges stream: a bidder whose bit is below the range size is
-    compared inside each range, and one whose bit is above it keeps its row
-    from a range with the bit clear until the partner range lo | bit arrives.
-    So at most about 2**n bytes wait at once (offer bools, or the randomized
-    auction's int8 counts), beside one range's (n, rows) bid matrix and
-    kernel output, where the whole sweep held n * 2**n before.
+    The mask ranges stream, each range's bid matrix built from the shared
+    low-bit block (_range_matrix).  A bidder whose bit is below the range
+    size is compared inside each range: field[:-bit] against field[bit:]
+    pairs every column with the one whose bit i-1 is set, and the block's
+    row i-1 keeps the pairs whose lower mask has that bit clear.  A bidder
+    whose bit is above it keeps its row from a range with the bit clear
+    until the partner range lo | bit arrives.  So at most about 2**n bytes
+    wait at once (offer bools, or the randomized auction's int8 counts),
+    beside one range's (n, rows) bid matrix and kernel output, where the
+    whole sweep held n * 2**n before.
     """
     n, h = params.n, params.h
     _check_sweep_args(params, auction)
@@ -296,30 +321,30 @@ def bid_independence_violations(
     waiting: dict[tuple[int, int], np.ndarray] = {}
     for lo, hi in _mask_ranges(n):
         # the bid matrix is a temporary, so the next range's can reuse its memory
-        rows = enumeration.offers_for_bidder(
-            enumeration.high_matrix(enumeration.mask_array(lo, hi), n), h, auction
-        )
+        rows = enumeration.offers_for_bidder(_range_matrix(lo, hi, n), h, auction)
+        low = _low_rows(hi - lo)
         for i, field in enumerate(rows, start=1):
             if i in first:
                 continue
             bit = 1 << (i - 1)
             if bit < hi - lo:
-                # mask lo + a * 2**i + b * 2**(i-1) + c sits at [a, b, c]
-                pairs = field.reshape(-1, 2, bit)
-                bids_low, bids_high, base = pairs[:, 0], pairs[:, 1], lo
+                # column j pairs mask lo + j with lo + j + bit, and
+                # `differs > bit set` keeps the pairs whose lower mask has
+                # bit i-1 clear
+                hits = (field[:-bit] != field[bit:]) > low[i - 1, :-bit]
+                base = lo
             elif lo & bit == 0:
                 waiting[i, lo] = field.copy()  # a copy frees the range's matrix
                 continue
             else:
                 base = lo - bit
-                bids_low, bids_high = waiting.pop((i, base)), field
+                hits = waiting.pop((i, base)) != field
             # ranges and pairs arrive in increasing order of base, and a
             # hit's mask has bit i-1 clear, so the first hit is the smallest
             # mask whose flip changes the offer
-            hits = np.flatnonzero(bids_low != bids_high)
-            if len(hits):
-                a, c = divmod(int(hits[0]), bit)
-                first[i] = base + ((a << i) | c)
+            j = int(np.argmax(hits))
+            if hits[j]:
+                first[i] = base + j
     return [(i, BidVector(params, first[i])) for i in sorted(first)]
 
 

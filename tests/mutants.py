@@ -45,6 +45,8 @@ class Mutant(NamedTuple):
 EXACT = "src/bivalued_auctions/exact.py"
 AUCTIONS = "src/bivalued_auctions/auctions.py"
 REPORTS = "src/bivalued_auctions/reports.py"
+ANALYSIS = "src/bivalued_auctions/analysis.py"
+SHIFTED_COMPARE = "tests/test_truthfulness.py::test_shifted_compare_matches_the_strided_one"
 NORMAL_FORM = (
     "tests/test_exact.py::TestNormalForm::test_arithmetic_matches_the_fraction_oracle",
     "tests/test_exact.py::TestNormalForm::test_equality_and_hash_match_the_fraction_oracle",
@@ -138,6 +140,30 @@ MUTANTS = (
         "        return json.dumps(value)",
         "        return repr(value).lower()",
         JSON_ORACLE,
+    ),
+    Mutant(
+        "in-range flips keep the pairs with the bit set", ANALYSIS,
+        "                hits = (field[:-bit] != field[bit:]) > low[i - 1, :-bit]",
+        "                hits = (field[:-bit] != field[bit:]) & low[i - 1, :-bit]",
+        (
+            SHIFTED_COMPARE,
+            "tests/test_truthfulness.py::test_own_bid_dependence_is_reported_for_deterministic_offers",
+        ),
+    ),
+    Mutant(
+        "in-range flips shifted one too far", ANALYSIS,
+        "                hits = (field[:-bit] != field[bit:]) > low[i - 1, :-bit]",
+        "                hits = (field[:-bit] != field[bit + 1:]) > low[i - 1, :-bit]",
+        (SHIFTED_COMPARE, "tests/test_truthfulness.py::test_no_violations_small"),
+    ),
+    Mutant(
+        "range matrix's high rows read bit i + 1", ANALYSIS,
+        "    high[len(low) :] = (lo >> np.arange(len(low), n) & 1)[:, None]",
+        "    high[len(low) :] = (lo >> np.arange(len(low) + 1, n + 1) & 1)[:, None]",
+        (
+            SHIFTED_COMPARE,
+            "tests/test_analysis.py::TestMultipleMaskRanges::test_range_matrix_is_the_matrix_of_its_masks",
+        ),
     ),
 )
 

@@ -386,24 +386,49 @@ class TestMultipleMaskRanges:
         assert block_structure_sweep(p) == one
         assert one[0] == target + 1 and one[1][0].mask == target
 
-    def test_one_bid_matrix_per_mask_range(self, monkeypatch):
-        monkeypatch.setattr(analysis, "_MASK_RANGE", 1 << 3)
-        high_matrix = analysis.enumeration.high_matrix
-        calls = []
+    @pytest.mark.parametrize("mask_range", [1 << 3, 1 << 16])
+    def test_range_matrix_is_the_matrix_of_its_masks(self, monkeypatch, mask_range):
+        monkeypatch.setattr(analysis, "_MASK_RANGE", mask_range)
+        for n in (1, 2, 3, 4, 7, 17, 18):
+            for lo, hi in analysis._mask_ranges(n)[:: max(1, (1 << n) // mask_range // 5)]:
+                want = analysis.enumeration.high_matrix(analysis.enumeration.mask_array(lo, hi), n)
+                got = analysis._range_matrix(lo, hi, n)
+                assert got.flags.writeable and np.array_equal(got, want), (n, lo)
+        assert not analysis._low_rows(mask_range).flags.writeable
 
-        def counted(masks, n):
-            calls.append(len(masks))
+    def test_one_bid_matrix_per_mask_range(self, monkeypatch):
+        # each range's matrix is one _range_matrix call, and the low-bit block
+        # it copies is built by high_matrix once per range size
+        monkeypatch.setattr(analysis, "_MASK_RANGE", 1 << 3)
+        range_matrix, high_matrix = analysis._range_matrix, analysis.enumeration.high_matrix
+        ranges, builds = [], []
+
+        def counted_range(lo, hi, n):
+            ranges.append((lo, hi))
+            return range_matrix(lo, hi, n)
+
+        def counted_build(masks, n):
+            builds.append((len(masks), n))
             return high_matrix(masks, n)
 
-        monkeypatch.setattr(analysis.enumeration, "high_matrix", counted)
+        monkeypatch.setattr(analysis, "_range_matrix", counted_range)
+        monkeypatch.setattr(analysis.enumeration, "high_matrix", counted_build)
+        analysis._low_rows.cache_clear()
         p = AuctionParams(10, 2)
-        ranges = len(analysis._mask_ranges(10))
+        want = analysis._mask_ranges(10)
+        assert len(want) == 128
         assert block_structure_sweep(p) == (1 << 10, None)
-        assert len(calls) == ranges
+        assert ranges == want and builds == [(8, 3)]
         for auction in analysis.AUCTION_NAMES:
-            calls.clear()
+            ranges.clear()
             assert bid_independence_violations(p, auction) == []
-            assert len(calls) == ranges, auction
+            assert ranges == want, auction
+        ranges.clear()
+        analysis.enumerated_sweep(p, "dop")
+        assert ranges == want
+        # n = 2 fits in one range of 4 masks, a second size with its own block
+        assert bid_independence_violations(AuctionParams(2, 2), "dop") == []
+        assert builds == [(8, 3), (4, 2)]
 
 
 def _scalar_checks(p: AuctionParams, lo: int, offered_h: np.ndarray) -> list:

@@ -11,6 +11,7 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from bivalued_auctions import (
@@ -28,8 +29,6 @@ from bivalued_auctions import (
 @pytest.mark.parametrize("auction", AUCTION_NAMES)
 @pytest.mark.parametrize("n,h", [(6, 2), (6, 3), (8, 2), (9, 3), (8, 4)])
 def test_no_violations_small(auction, n, h):
-    if auction == "threshold-dop" and n % h:
-        return
     assert bid_independence_violations(AuctionParams(n, h), auction) == []
 
 
@@ -155,3 +154,84 @@ def test_witnesses_do_not_depend_on_mask_ranges(monkeypatch, n):
         counts = bid_independence_violations(p, "random")
         m.setattr(analysis, "_MASK_RANGE", 1 << 3)
         assert bid_independence_violations(p, "random") == counts != []
+
+
+def _strided_violations(params: AuctionParams, auction: str) -> list[tuple[int, BidVector]]:
+    """bid_independence_violations as it compared before the shared low-bit
+    block: each range's matrix from high_matrix(mask_array(lo, hi), n), and
+    each in-range bidder's flips as the halves of a strided
+    reshape(-1, 2, bit) view.  The differential oracle of the shifted compare."""
+    n, h = params.n, params.h
+    first: dict[int, int] = {}
+    waiting: dict[tuple[int, int], np.ndarray] = {}
+    for lo, hi in analysis._mask_ranges(n):
+        high = enumeration.high_matrix(enumeration.mask_array(lo, hi), n)
+        for i, field in enumerate(enumeration.offers_for_bidder(high, h, auction), start=1):
+            if i in first:
+                continue
+            bit = 1 << (i - 1)
+            if bit < hi - lo:
+                # mask lo + a * 2**i + b * 2**(i-1) + c sits at [a, b, c]
+                pairs = field.reshape(-1, 2, bit)
+                bids_low, bids_high, base = pairs[:, 0], pairs[:, 1], lo
+            elif lo & bit == 0:
+                waiting[i, lo] = field.copy()
+                continue
+            else:
+                base = lo - bit
+                bids_low, bids_high = waiting.pop((i, base)), field
+            hits = np.flatnonzero(bids_low != bids_high)
+            if len(hits):
+                a, c = divmod(int(hits[0]), bit)
+                first[i] = base + ((a << i) | c)
+    return [(i, BidVector(params, first[i])) for i in sorted(first)]
+
+
+@st.composite
+def _broken_kernels(draw):
+    """(n, h, auction, mask range, flips): each flip (i, reads, pattern) turns
+    bidder i's offer over (or adds 1 to its count, for "random") on the masks
+    whose bits j in reads equal pattern's.  Bid-independence breaks for each
+    flipped bidder that reads its own bit, and only for those."""
+    mask_range = draw(st.sampled_from([1 << 3, 1 << 16]))
+    # sampled_from draws n evenly, so bidders above a 2**16 range come up often
+    n = draw(st.sampled_from(range(3, 13 if mask_range == 1 << 3 else 19)))
+    h = draw(st.integers(2, 4))
+    auction = draw(st.sampled_from(AUCTION_NAMES).filter(lambda a: a != "threshold-dop" or n % h == 0))
+    bidder = st.integers(1, n)
+    flips = draw(st.lists(
+        st.tuples(bidder, st.sets(bidder, max_size=4), st.integers(0, (1 << n) - 1)),
+        min_size=1, max_size=3, unique_by=lambda flip: flip[0],
+    ))
+    return n, h, auction, mask_range, flips
+
+
+@settings(max_examples=60, deadline=None)
+@given(_broken_kernels())
+@example((18, 3, "dop", 1 << 16, [(17, {17, 2}, 0), (18, {18}, 1 << 17), (5, {5, 18}, 0)]))
+@example((18, 3, "random", 1 << 16, [(16, {16, 17}, 1 << 16), (18, {1, 18}, 1)]))
+@example((18, 2, "derand", 1 << 16, [(1, {1, 16}, 1 << 15), (18, {18, 17, 3}, 3 << 16)]))
+@example((10, 2, "threshold-dop", 1 << 3, [(2, {2}, 0), (9, {9, 1}, 1), (4, {3, 10}, 0)]))
+def test_shifted_compare_matches_the_strided_one(case):
+    n, h, auction, mask_range, flips = case
+    offers_for_bidder = enumeration.offers_for_bidder
+
+    def broken(high, h, auction):
+        offers = offers_for_bidder(high, h, auction)
+        for i, reads, pattern in flips:
+            on = np.ones(high.shape[1], dtype=bool)
+            for j in reads:
+                on &= high[j - 1] == bool(pattern >> (j - 1) & 1)
+            if auction == "random":
+                offers[i - 1] += on
+            else:
+                offers[i - 1] ^= on
+        return offers
+
+    p = AuctionParams(n, h)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(analysis, "_MASK_RANGE", mask_range)
+        m.setattr(enumeration, "offers_for_bidder", broken)
+        got = bid_independence_violations(p, auction, limit=n)
+        assert got == _strided_violations(p, auction)
+    assert [i for i, _ in got] == sorted(i for i, reads, _ in flips if i in reads)
