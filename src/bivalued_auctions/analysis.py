@@ -170,7 +170,7 @@ def enumerated_sweep(params: AuctionParams, auction: str) -> LossProfile:
         if worst is None or chunk_worst > worst or (chunk_worst == worst and chunk_key < best_key):
             worst, best_key, best_mask = chunk_worst, chunk_key, chunk_mask
     per_nh = {k: value(int(per_k_all[k])) for k in range(n + 1)}
-    return LossProfile(params, auction, per_nh, value(worst), BidVector(params, best_mask))
+    return LossProfile(per_nh, value(worst), BidVector(params, best_mask))
 
 
 # ---------------------------------------------------------------------------
@@ -417,13 +417,10 @@ def check_distribution_identities(n: int, h: int) -> tuple[Fraction, Fraction, F
 
 @dataclass(frozen=True)
 class DistributionDReport:
-    """Sampling estimates, with the exact identities attached when h | n."""
+    """The sampled mean revenue of the auction and of the benchmark, each with
+    its standard error, and the exact identities (E[opt], E[threshold-DOP],
+    gap) when h | n, else None."""
 
-    n: int
-    h: int
-    auction: str
-    samples: int
-    seed: int
     mc_mean_auction: float
     mc_stderr_auction: float
     mc_mean_opt: float
@@ -620,11 +617,6 @@ def monte_carlo_under_d(
         e_opt = e_dop = gap = None
 
     return DistributionDReport(
-        n=n,
-        h=h,
-        auction=auction,
-        samples=samples,
-        seed=seed,
         mc_mean_auction=mean_auction,
         mc_stderr_auction=stderr_auction,
         mc_mean_opt=mean_opt,

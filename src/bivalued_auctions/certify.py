@@ -201,11 +201,9 @@ def additive_loss(b: BidVector, auction: str) -> Loss:
 class LossProfile:
     """Worst additive loss of one auction over every bid vector at (n, h):
     the worst per high-bid count k, the worst overall, and the lex-least
-    vector attaining it.  Not normalized; `sweep` prints
-    global_worst / sqrt(n*h) as normalized_loss."""
+    vector attaining it, whose params are the (n, h) swept.  Not normalized;
+    `sweep` prints global_worst / sqrt(n*h) as normalized_loss."""
 
-    params: AuctionParams
-    auction: str
     per_nh_worst: dict[int, Loss]
     global_worst: Loss
     witness: BidVector
@@ -268,7 +266,7 @@ def worst_case_sweep(
         (_lex_least(params, k, worst_sum[k]) for k in per_nh if per_nh[k] == global_worst),
         key=lambda b: b.bids,
     )
-    return LossProfile(params, auction, per_nh, global_worst, witness)
+    return LossProfile(per_nh, global_worst, witness)
 
 
 # (k, S) pairs per block of the derandomized sweep, which bounds its arrays

@@ -182,4 +182,7 @@ def offers_for_bidder(high: np.ndarray, h: int, auction: str) -> np.ndarray:
     if auction == "derand":
         return derand_offers(high, h)
     seen = seen_high_counts(high)
-    return seen if auction == "random" else seen >= count_threshold(auction, len(high), h)
+    if auction == "random":
+        return seen
+    # seen is a fresh array, so the compare writes its bools over it
+    return np.greater_equal(seen, count_threshold(auction, len(high), h), out=seen.view(bool))

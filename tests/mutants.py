@@ -46,10 +46,17 @@ EXACT = "src/bivalued_auctions/exact.py"
 AUCTIONS = "src/bivalued_auctions/auctions.py"
 REPORTS = "src/bivalued_auctions/reports.py"
 ANALYSIS = "src/bivalued_auctions/analysis.py"
+ENUMERATION = "src/bivalued_auctions/enumeration.py"
 SHIFTED_COMPARE = "tests/test_truthfulness.py::test_shifted_compare_matches_the_strided_one"
 NORMAL_FORM = (
     "tests/test_exact.py::TestNormalForm::test_arithmetic_matches_the_fraction_oracle",
     "tests/test_exact.py::TestNormalForm::test_equality_and_hash_match_the_fraction_oracle",
+)
+DERAND_EARNS_N = (
+    "tests/test_hard_distribution.py::test_derandomized_auction_earns_n_under_the_hard_distribution",
+)
+SAMPLED_BLOCKS = (
+    "tests/test_analysis.py::TestVectorBlockCheckSampled::test_sampled_masks_match_the_scalar_check",
 )
 JSON_ORACLE = (
     "tests/test_render_json.py::test_edge_cell_matches_the_oracle",
@@ -164,6 +171,51 @@ MUTANTS = (
             SHIFTED_COMPARE,
             "tests/test_analysis.py::TestMultipleMaskRanges::test_range_matrix_is_the_matrix_of_its_masks",
         ),
+    ),
+    Mutant(
+        "count-threshold offers at n_h > t", ENUMERATION,
+        "    return np.greater_equal(seen,",
+        "    return np.greater(seen,",
+        (
+            "tests/test_enumeration.py::test_offers_for_bidder_match_scalar[dop]",
+            "tests/test_enumeration.py::test_offers_for_bidder_match_scalar[threshold-dop]",
+        ),
+    ),
+    Mutant(
+        "derand's high window one later", ENUMERATION,
+        "    high = _window_offers(index_sum - k + 1, k, moduli[m], a_plus[m])",
+        "    high = _window_offers(index_sum - k + 2, k, moduli[m], a_plus[m])",
+        DERAND_EARNS_N,
+    ),
+    Mutant(
+        "derand's low a+ one larger", ENUMERATION,
+        "    low = _window_offers(index_sum + 1, n - k, moduli[k], a_plus[k])",
+        "    low = _window_offers(index_sum + 1, n - k, moduli[k], a_plus[k] + 1)",
+        DERAND_EARNS_N,
+    ),
+    Mutant(
+        "derand's low window one later", ENUMERATION,
+        "    low = _window_offers(index_sum + 1, n - k, moduli[k], a_plus[k])",
+        "    low = _window_offers(index_sum + 2, n - k, moduli[k], a_plus[k])",
+        DERAND_EARNS_N,
+    ),
+    Mutant(
+        "derand's low window one earlier", ENUMERATION,
+        "    low = _window_offers(index_sum + 1, n - k, moduli[k], a_plus[k])",
+        "    low = _window_offers(index_sum, n - k, moduli[k], a_plus[k])",
+        DERAND_EARNS_N,
+    ),
+    Mutant(
+        "block walk never resets seen", ANALYSIS,
+        "        seen *= ~closed",
+        "        pass",
+        SAMPLED_BLOCKS,
+    ),
+    Mutant(
+        "block walk skips the trailing block", ANALYSIS,
+        "    bad |= offers > owed + a",
+        "    pass",
+        SAMPLED_BLOCKS,
     ),
 )
 

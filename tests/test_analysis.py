@@ -30,6 +30,7 @@ from bivalued_auctions import (
 )
 from bivalued_auctions import analysis, certify
 from bivalued_auctions.enumeration import derand_revenues
+from test_hard_distribution import sequential_report
 
 
 class TestAdditiveLoss:
@@ -575,9 +576,11 @@ class TestMonteCarlo:
         assert a == b
 
     def test_chunk_boundaries_do_not_skew(self):
-        # one sample beyond a chunk boundary exercises the tail chunk
+        # one sample beyond a chunk boundary exercises the tail chunk: the
+        # report is the chunk-by-chunk sums, and the extra sample counts
         r = monte_carlo_under_d(10, 2, "derand", (1 << 14) + 1, seed=2)
-        assert r.samples == (1 << 14) + 1
+        assert r == sequential_report(10, 2, "derand", (1 << 14) + 1, 2)
+        assert r != monte_carlo_under_d(10, 2, "derand", 1 << 14, seed=2)
 
     def test_exact_fields_when_divisible(self):
         r = monte_carlo_under_d(12, 3, "threshold-dop", 1000, seed=5)

@@ -361,7 +361,6 @@ def sequential_report(n, h, auction, samples, seed):
         opt_sq += int(np.dot(opt, opt))
     exact = analysis.check_distribution_identities(n, h) if n % h == 0 else (None,) * 3
     return analysis.DistributionDReport(
-        n, h, auction, samples, seed,
         *analysis._mean_stderr(total, total_sq, samples),
         *analysis._mean_stderr(opt_total, opt_sq, samples),
         *exact,
