@@ -37,7 +37,6 @@ from .auctions import (  # AUCTION_NAMES stays readable as analysis.AUCTION_NAME
     derand_run,
     expected_revenue_by_count,
     _offer_threshold_by_count,
-    require_divisible,
 )
 from .certify import (
     DEFAULT_ENUMERATION_LIMIT,
@@ -311,8 +310,7 @@ def bid_independence_violations(
     whose bit is above it keeps its row from a range with the bit clear
     until the partner range lo | bit arrives.  So at most about 2**n bytes
     wait at once (offer bools, or the randomized auction's int8 counts),
-    beside one range's (n, rows) bid matrix and kernel output, where the
-    whole sweep held n * 2**n before.
+    beside one range's (n, rows) bid matrix and kernel output.
     """
     n, h = params.n, params.h
     _check_sweep_args(params, auction)
@@ -373,7 +371,7 @@ def _expectation_over_counts(n: int, h: int, values: list[int]) -> Fraction:
 
 def exact_e_opt_under_d(n: int, h: int) -> Fraction:
     """E[max(n, h*K)] for K ~ Binomial(n, 1/h), exactly (needs h | n)."""
-    require_divisible(n, h)
+    check_identities(n, h)
     return _expectation_over_counts(n, h, np.maximum(n, h * np.arange(n + 1)).tolist())
 
 
@@ -382,6 +380,7 @@ def exact_e_dop_under_d(n: int, h: int) -> Fraction:
     from the count kernel's per-count revenues (int64 is exact: each is at
     most h*n); the bid-independence argument forces the total to equal n.
     """
+    check_identities(n, h)
     t = count_threshold("threshold-dop", n, h)
     revenues = count_revenues(np.arange(n + 1), n, h, t)
     return _expectation_over_counts(n, h, revenues.tolist())
@@ -389,15 +388,15 @@ def exact_e_dop_under_d(n: int, h: int) -> Fraction:
 
 def lower_bound_gap(n: int, h: int) -> Fraction:
     """(n - n/h) * P[K = n/h]: the exact expected-loss floor at (n, h)."""
-    require_divisible(n, h)
+    check_identities(n, h)
     t = n // h
     p = Fraction(1, h)
     return (n - t) * comb(n, t) * p**t * (1 - p) ** (n - t)
 
 
 def check_distribution_identities(n: int, h: int) -> tuple[Fraction, Fraction, Fraction]:
-    """Evaluate and cross-check the three exact quantities; raise on any break."""
-    check_identities(n, h)
+    """Evaluate and cross-check the three exact quantities; raise on any break.
+    Each of the three checks the domain (certify.check_identities) first."""
     e_opt = exact_e_opt_under_d(n, h)
     e_dop = exact_e_dop_under_d(n, h)
     gap = lower_bound_gap(n, h)
@@ -571,7 +570,7 @@ def monte_carlo_under_d(
     Each job, chunk or range, is one _sample_revenues call, which settles
     its draws block by block and returns only per-row revenue and opt.
     """
-    check_monte_carlo(n, h, auction, samples)
+    check_monte_carlo(n, h, auction, samples, seed, threads=threads)
 
     sizes = [min(_MC_CHUNK, samples - lo) for lo in range(0, samples, _MC_CHUNK)]
     parts = -(-_workers(threads) // len(sizes))  # 1 unless chunks < workers

@@ -159,16 +159,24 @@ def check_block_sweep(params: AuctionParams, limit: int) -> None:
 
 
 def check_identities(n: int, h: int) -> None:
-    """Raise ValueError unless check_distribution_identities accepts (n, h)."""
+    """Raise ValueError unless the identities accept (n, h): each of
+    exact_e_opt_under_d, exact_e_dop_under_d and lower_bound_gap calls it first."""
     _require_printable(n, h)
     require_divisible(n, h)
 
 
-def check_monte_carlo(n: int, h: int, auction: str, samples: int) -> None:
-    """Raise ValueError unless monte_carlo_under_d accepts these arguments."""
+def check_monte_carlo(
+    n: int, h: int, auction: str, samples: int, seed: int, *, threads: Optional[int] = None
+) -> None:
+    """Raise ValueError unless monte_carlo_under_d accepts these arguments:
+    the seed keys 64-bit hashes, and threads=None means every core."""
     _require_printable(n, h)
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if not 0 <= seed < 1 << 64:
+        raise ValueError("seed must fit in 64 bits")
+    if threads is not None and threads < 1:
+        raise ValueError("threads must be >= 1")
     _check_sweep_args(AuctionParams(n, h), auction)
     _require_kernel_domain(n, h)  # the random auction's sums are int64 too
     if n > MC_N_LIMIT:

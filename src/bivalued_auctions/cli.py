@@ -113,7 +113,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--seed", type=_seed_value, required=True)
     sp.add_argument("--threads", type=_positive_int, help="defaults to every core")
     sp.set_defaults(rows=_mc_rows, domain=lambda ns: certify.check_monte_carlo(
-        ns.n, ns.h, ns.auction, ns.samples))
+        ns.n, ns.h, ns.auction, ns.samples, ns.seed, threads=ns.threads))
 
     sp = over_n_h("block-check", help="verify derandomized offer block structure on every vector")
     sp.add_argument("--limit", type=_positive_int, default=DEFAULT_ENUMERATION_LIMIT)

@@ -12,9 +12,11 @@ len(high) and the high counts k are high.sum(axis=0).  The kernels are
 `offers_for_bidder(high, h, auction)` and `REVENUE_KERNELS[auction](high, h)`.
 Masks (bit i-1 set <=> bidder i bids high) stay where vectors are
 enumerated or ordered: `mask_array` lists a range of them, `high_matrix`
-turns them into the kernels' input, and `lex_keys` orders them.  Monte
-Carlo passes each sample-major draw block as `draw.T`, which every kernel
-reads in place.
+turns masks into a bid matrix, and `lex_keys` orders them.  The mask-range
+walks in analysis call `high_matrix` only for one cached block of the low
+bits, and fill each higher bidder's row from the range's constant bits.
+Monte Carlo passes each sample-major draw block as `draw.T`, which every
+kernel reads in place.
 
 - Every auction here reads n_h(i), the high bids bidder i sees among the
   others; `seen_high_counts` is its int8 (n, rows) vector form, so it

@@ -9,7 +9,7 @@ square-free radicands r_i and gcd(den, n_1, n_2, ...) = 1.  Because
 {sqrt(r) : r square-free} is linearly independent over Q, this normal form
 is unique, a value is zero iff it has no terms, and every nonzero value has
 a sign that interval refinement is guaranteed to resolve.  No arithmetic
-builds a Fraction; only the `terms` view and `as_fraction` return them.
+builds a Fraction; only `as_fraction` returns one.
 
 Operands are exact or rejected: of, +, -, *, the orderings and
 bernoulli_threshold take an int, a Fraction or a SurdSum, and a divisor or
@@ -91,29 +91,19 @@ class SurdSum:
     """Immutable exact value (sum_i n_i * sqrt(r_i)) / den, in the normal form
     of the module docstring.
 
+    SurdSum() is zero; every other value comes from of, multiple, root or
+    arithmetic, so no caller can build a value outside the normal form.
     Supports +, -, *, division by rationals, and total-order comparisons
     against SurdSum, Fraction, and int.  Radicand 1 carries the rational part.
     """
 
     __slots__ = ("_nums", "_den")
 
-    def __init__(self, nums: tuple[tuple[int, int], ...] = (), den: int = 1):
-        # (radicand, numerator) pairs and den must already be in normal form;
-        # SurdSum() is zero
-        self._nums = nums
-        self._den = den
+    def __init__(self):
+        self._nums = ()
+        self._den = 1
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def _reduced(cls, nums: tuple[tuple[int, int], ...], den: int) -> "SurdSum":
-        """The normal form of sorted pairs with no zero numerator over den > 0:
-        the one place that divides out gcd(den, n_1, n_2, ...)."""
-        g = gcd(den, *(c for _, c in nums))
-        if g != 1:
-            nums = tuple((r, c // g) for r, c in nums)
-            den //= g
-        return cls(nums, den)
 
     @classmethod
     def of(cls, value: ExactLike) -> "SurdSum":
@@ -121,7 +111,7 @@ class SurdSum:
             return value
         # an int, or a Fraction, which is in lowest terms already
         num, den = _ratio(value)
-        return cls(((1, num),), den) if num else cls()
+        return _surd(((1, num),), den) if num else SurdSum()
 
     @classmethod
     def multiple(cls, coeff: RationalLike, radicand: int) -> "SurdSum":
@@ -130,35 +120,22 @@ class SurdSum:
             raise ValueError("radicand must be nonnegative")
         num, den = _ratio(coeff)
         if num == 0 or radicand == 0:
-            return cls()
+            return SurdSum()
         s, r = square_free(radicand)
-        return cls._reduced(((r, num * s),), den)
+        return _reduced(((r, num * s),), den)
 
     @classmethod
     def root(cls, radicand: int) -> "SurdSum":
         return cls.multiple(1, radicand)
 
-    @classmethod
-    def _from_map(cls, acc: dict[int, int], den: int) -> "SurdSum":
-        return cls._reduced(tuple(sorted((r, c) for r, c in acc.items() if c)), den)
-
     # -- predicates and conversions ----------------------------------------
 
     @property
-    def terms(self) -> tuple[tuple[int, Fraction], ...]:
-        """Normalized (radicand, coefficient) pairs; radicand 1 holds the rational part."""
-        return tuple((r, Fraction(c, self._den)) for r, c in self._nums)
-
-    @property
     def int_terms(self) -> tuple[tuple[int, int, int], ...]:
-        """(radicand, numerator, denominator) of each of `terms`, as ints in
-        lowest terms, built without a Fraction."""
+        """(radicand, numerator, denominator) of each term's coefficient in
+        lowest terms, ascending by radicand; radicand 1 holds the rational part."""
         den = self._den
         return tuple((r, c // gcd(c, den), den // gcd(c, den)) for r, c in self._nums)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._nums
 
     @property
     def is_rational(self) -> bool:
@@ -172,7 +149,9 @@ class SurdSum:
         return Fraction(self._nums[0][1], self._den)
 
     def __float__(self) -> float:
-        return sum((float(c) * sqrt(r) for r, c in self.terms), 0.0)
+        # int / int rounds correctly, as float(Fraction(c, den)) does
+        den = self._den
+        return sum((c / den * sqrt(r) for r, c in self._nums), 0.0)
 
     def __bool__(self) -> bool:
         return bool(self._nums)
@@ -185,12 +164,12 @@ class SurdSum:
         acc = {r: c * d2 for r, c in self._nums}
         for r, c in other._nums:
             acc[r] = acc.get(r, 0) + c * d1
-        return SurdSum._from_map(acc, d1 * d2)
+        return _from_map(acc, d1 * d2)
 
     __radd__ = __add__
 
     def __neg__(self) -> "SurdSum":
-        return SurdSum(tuple((r, -c) for r, c in self._nums), self._den)
+        return _surd(tuple((r, -c) for r, c in self._nums), self._den)
 
     def __sub__(self, other: ExactLike) -> "SurdSum":
         return self + (-SurdSum.of(other))
@@ -203,7 +182,7 @@ class SurdSum:
             num, den = _ratio(other)
             if not num:
                 return SurdSum()
-            return SurdSum._reduced(tuple((r, c * num) for r, c in self._nums), self._den * den)
+            return _reduced(tuple((r, c * num) for r, c in self._nums), self._den * den)
         acc: dict[int, int] = {}
         for r1, c1 in self._nums:
             for r2, c2 in other._nums:
@@ -213,7 +192,7 @@ class SurdSum:
                 g = gcd(r1, r2)
                 r = r1 // g * (r2 // g)
                 acc[r] = acc.get(r, 0) + c1 * c2 * g
-        return SurdSum._from_map(acc, self._den * other._den)
+        return _from_map(acc, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -223,7 +202,7 @@ class SurdSum:
             raise ZeroDivisionError("SurdSum division by zero")
         if num < 0:  # the sign moves to the numerators: den stays positive
             num, den = -num, -den
-        return SurdSum._reduced(tuple((r, c * den) for r, c in self._nums), self._den * num)
+        return _reduced(tuple((r, c * den) for r, c in self._nums), self._den * num)
 
     # -- sign and ordering -------------------------------------------------
 
@@ -330,8 +309,32 @@ class SurdSum:
     def __repr__(self) -> str:
         if not self._nums:
             return "SurdSum(0)"
-        parts = [f"{c}*sqrt({r})" if r != 1 else str(c) for r, c in self.terms]
+        coeffs = [(r, f"{num}/{den}" if den != 1 else str(num)) for r, num, den in self.int_terms]
+        parts = [f"{c}*sqrt({r})" if r != 1 else c for r, c in coeffs]
         return f"SurdSum({' + '.join(parts)})"
+
+
+def _surd(nums: tuple[tuple[int, int], ...], den: int) -> SurdSum:
+    """The SurdSum of (radicand, numerator) pairs and den that are already in
+    normal form, unchecked: the builder of every value but SurdSum()."""
+    value = object.__new__(SurdSum)
+    value._nums = nums
+    value._den = den
+    return value
+
+
+def _reduced(nums: tuple[tuple[int, int], ...], den: int) -> SurdSum:
+    """The normal form of sorted pairs with no zero numerator over den > 0:
+    the one place that divides out gcd(den, n_1, n_2, ...)."""
+    g = gcd(den, *(c for _, c in nums))
+    if g != 1:
+        nums = tuple((r, c // g) for r, c in nums)
+        den //= g
+    return _surd(nums, den)
+
+
+def _from_map(acc: dict[int, int], den: int) -> SurdSum:
+    return _reduced(tuple(sorted((r, c) for r, c in acc.items() if c)), den)
 
 
 def bernoulli_threshold(p: ExactLike) -> int:
@@ -347,7 +350,7 @@ def bernoulli_threshold(p: ExactLike) -> int:
     p = SurdSum.of(p)
     if len(p._nums) > 1:
         raise ValueError(f"bernoulli_threshold needs a rational or one-term surd, got {p!r}")
-    if p.is_zero or p._nums[0][1] < 0:
+    if not p or p._nums[0][1] < 0:
         return 0
     # one term: gcd(num, den) = 1, so num / den is its coefficient in lowest terms
     ((r, num),) = p._nums

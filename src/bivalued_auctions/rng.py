@@ -15,12 +15,12 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     import numpy as np
 
-_MASK64 = (1 << 64) - 1
-
 
 def _digest(seed: int, path: tuple[int, ...], size: int) -> bytes:
-    key = (seed & _MASK64).to_bytes(8, "little")
-    msg = b"".join((x & _MASK64).to_bytes(8, "little") for x in path)
+    """blake2b of the path keyed by the seed; a seed or path entry outside
+    [0, 2**64) raises OverflowError, so no two keys alias."""
+    key = seed.to_bytes(8, "little")
+    msg = b"".join(x.to_bytes(8, "little") for x in path)
     return hashlib.blake2b(msg, digest_size=size, key=key).digest()
 
 

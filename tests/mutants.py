@@ -47,6 +47,9 @@ AUCTIONS = "src/bivalued_auctions/auctions.py"
 REPORTS = "src/bivalued_auctions/reports.py"
 ANALYSIS = "src/bivalued_auctions/analysis.py"
 ENUMERATION = "src/bivalued_auctions/enumeration.py"
+CERTIFY = "src/bivalued_auctions/certify.py"
+CLI = "src/bivalued_auctions/cli.py"
+CORE = "src/bivalued_auctions/core.py"
 SHIFTED_COMPARE = "tests/test_truthfulness.py::test_shifted_compare_matches_the_strided_one"
 NORMAL_FORM = (
     "tests/test_exact.py::TestNormalForm::test_arithmetic_matches_the_fraction_oracle",
@@ -58,6 +61,8 @@ DERAND_EARNS_N = (
 SAMPLED_BLOCKS = (
     "tests/test_analysis.py::TestVectorBlockCheckSampled::test_sampled_masks_match_the_scalar_check",
 )
+LOSS_ROWS = ("tests/test_loss_rows.py::test_every_loss_row_is_opt_minus_revenue_over_sqrt_nh",)
+DOMAIN_CHECKS = ("tests/test_domain_checks.py::test_check_raises_what_its_entry_point_raises",)
 JSON_ORACLE = (
     "tests/test_render_json.py::test_edge_cell_matches_the_oracle",
     "tests/test_render_json.py::test_every_edge_in_one_row_matches_the_oracle",
@@ -72,15 +77,36 @@ MUTANTS = (
     ),
     Mutant(
         "constructor skips the gcd", EXACT,
-        "        g = gcd(den, *(c for _, c in nums))",
-        "        g = 1",
+        "    g = gcd(den, *(c for _, c in nums))",
+        "    g = 1",
         NORMAL_FORM,
     ),
     Mutant(
         "of(Fraction) drops the denominator", EXACT,
-        "        return cls(((1, num),), den) if num else cls()",
-        "        return cls(((1, num),), 1) if num else cls()",
+        "        return _surd(((1, num),), den) if num else SurdSum()",
+        "        return _surd(((1, num),), 1) if num else SurdSum()",
         NORMAL_FORM,
+    ),
+    Mutant(
+        "raw-pair constructor restored", EXACT,
+        "    def __init__(self):\n        self._nums = ()\n        self._den = 1\n",
+        "    def __init__(self, nums=(), den=1):\n        self._nums = nums\n        self._den = den\n",
+        ("tests/test_exact.py::TestNormalForm::test_constructor_takes_no_arguments",),
+    ),
+    Mutant(
+        "__float__ without / den", EXACT,
+        "        return sum((c / den * sqrt(r) for r, c in self._nums), 0.0)",
+        "        return sum((c * sqrt(r) for r, c in self._nums), 0.0)",
+        (
+            "tests/test_exact.py::TestSurdSum::test_float_conversion",
+            "tests/test_exact.py::TestNormalForm::test_float_and_repr_match_the_fraction_coefficients",
+        ),
+    ),
+    Mutant(
+        "square_free memo unbounded", EXACT,
+        "@lru_cache(maxsize=MEMO_SIZE)\ndef square_free(",
+        "@lru_cache(maxsize=None)\ndef square_free(",
+        ("tests/test_auctions.py::TestPerCountMemos::test_a_table_longer_than_the_bound_stays_within_it",),
     ),
     Mutant(
         "+ scales the wrong side", EXACT,
@@ -123,6 +149,54 @@ MUTANTS = (
             "tests/test_truthfulness.py::test_offer_rule_flip_invariant_scalar[9-2-derand]",
             "tests/test_derand.py::TestState::test_state_ignores_own_bid",
         ),
+    ),
+    Mutant(
+        "masked view keeps its own bit", CORE,
+        "        if self.others & bit:",
+        "        if False:",
+        ("tests/test_core.py::TestBidVector::test_masked_view_holds_no_own_bid",),
+    ),
+    Mutant(
+        "derand's X includes i", AUCTIONS,
+        '    x = sum(j for j, bit in enumerate(highs, start=1) if bit == "1")',
+        '    x = i + sum(j for j, bit in enumerate(highs, start=1) if bit == "1")',
+        ("tests/test_derand.py::TestState::test_all_high_hand_trace",),
+    ),
+    Mutant(
+        "expectation normalized by sqrt(n)", CLI,
+        '        "normalized_loss": certify._normalize(loss, n, h), **extra,',
+        '        "normalized_loss": certify._normalize(loss, n, 1 if command == "expectation" else h), **extra,',
+        LOSS_ROWS,
+    ),
+    Mutant(
+        "second _normalize call in _sweep_rows", CLI,
+        "        witness=witness.to_string(),",
+        "        witness=witness.to_string(), normalized_loss=certify._normalize(profile.global_worst, ns.n, ns.h),",
+        ("tests/test_loss_rows.py::test_only_the_loss_row_computes_the_loss_fields",),
+    ),
+    Mutant(
+        "dist-d's loss as revenue - opt", CLI,
+        "        exact_e_opt=e_opt, exact_e_dop=e_dop,",
+        "        exact_e_opt=e_opt, exact_e_dop=e_dop, loss=e_dop - e_opt,",
+        LOSS_ROWS,
+    ),
+    Mutant(
+        "check_monte_carlo without the printable bound", CERTIFY,
+        "    _require_printable(n, h)\n    if samples < 1:",
+        "    if samples < 1:",
+        DOMAIN_CHECKS,
+    ),
+    Mutant(
+        "check_monte_carlo without the seed check", CERTIFY,
+        '    if not 0 <= seed < 1 << 64:\n        raise ValueError("seed must fit in 64 bits")\n',
+        "",
+        DOMAIN_CHECKS,
+    ),
+    Mutant(
+        "exact_e_opt_under_d without its domain guard", ANALYSIS,
+        '''exactly (needs h | n)."""\n    check_identities(n, h)\n''',
+        '''exactly (needs h | n)."""\n''',
+        DOMAIN_CHECKS,
     ),
     Mutant(
         "JSON's 2**53 bound off by one", REPORTS,

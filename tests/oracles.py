@@ -100,6 +100,12 @@ def random_expected_revenue_decimal(n: int, h: int, k: int, prec: int = 50) -> D
     return (n - k) * (1 - p_low) + k * (h * p_high + (1 - p_high))
 
 
+def fraction_terms(int_terms) -> tuple[tuple[int, Fraction], ...]:
+    """(radicand, Fraction coefficient) pairs, the form the surd oracles
+    below take, from (radicand, numerator, denominator) triples."""
+    return tuple((r, Fraction(num, den)) for r, num, den in int_terms)
+
+
 def surd_bounds(terms, bits: int) -> tuple[Fraction, Fraction]:
     """Enclosing rational interval of sum c * sqrt(r) over (r, c) terms,
     tight to about |c| * 2**-bits per term, in Fractions."""

@@ -223,7 +223,7 @@ class TestExitCodes:
         assert err == f"error: n={n} exceeds the Monte Carlo limit {certify.MC_N_LIMIT}\n"
 
     def test_monte_carlo_samples_limit_is_one(self, capsys):
-        certify.check_monte_carlo(4, 2, "dop", certify.MC_SAMPLES_LIMIT)
+        certify.check_monte_carlo(4, 2, "dop", certify.MC_SAMPLES_LIMIT, 1, threads=1)
         for samples in (certify.MC_SAMPLES_LIMIT + 1, 10**18):
             code, out, err = run_cli(
                 capsys, "mc", "--n", "4", "--h", "2", "--auction", "dop",

@@ -16,6 +16,9 @@ from bivalued_auctions import (
     certify,
     check_distribution_identities,
     dop_unboundedness_demo,
+    exact_e_dop_under_d,
+    exact_e_opt_under_d,
+    lower_bound_gap,
     monte_carlo_under_d,
     worst_case_sweep,
 )
@@ -49,12 +52,20 @@ PAIRS = {
         lambda n, h, limit=LIMIT: block_structure_sweep(AuctionParams(n, h), limit=limit),
     ),
     "mc": (
-        certify.check_monte_carlo,
-        lambda n, h, auction, samples: monte_carlo_under_d(n, h, auction, samples, 0, threads=1),
+        lambda n, h, auction, samples, seed=0, threads=1: certify.check_monte_carlo(
+            n, h, auction, samples, seed, threads=threads
+        ),
+        lambda n, h, auction, samples, seed=0, threads=1: monte_carlo_under_d(
+            n, h, auction, samples, seed, threads=threads
+        ),
     ),
     "demo": (certify.check_demo, dop_unboundedness_demo),
     "identities": (certify.check_identities, check_distribution_identities),
+    "e_opt": (certify.check_identities, exact_e_opt_under_d),
+    "e_dop": (certify.check_identities, exact_e_dop_under_d),
+    "gap": (certify.check_identities, lower_bound_gap),
 }
+MC = dict(n=4, h=2, auction="dop", samples=10)
 
 
 @pytest.mark.parametrize("pair, kwargs, message", [
@@ -81,13 +92,25 @@ PAIRS = {
     ("mc", dict(n=4, h=2, auction="dop", samples=MC_SAMPLES_LIMIT + 1),
      f"exceeds the Monte Carlo limit {MC_SAMPLES_LIMIT}"),
     ("mc", dict(PRINTABLE_EDGE, auction="dop", samples=1), PRINTABLE_MESSAGE),
+    ("mc", dict(MC, seed=(1 << 64) - 1), None),
+    ("mc", dict(MC, seed=-1), "seed must fit in 64 bits"),
+    ("mc", dict(MC, seed=1 << 64), "seed must fit in 64 bits"),
+    ("mc", dict(MC, threads=0), "threads must be >= 1"),
+    ("mc", dict(MC, threads=-1), "threads must be >= 1"),
     ("demo", dict(h=3), None),
     ("demo", dict(h=3, n=4), "n=4 must be divisible by h=3"),
     ("demo", dict(h=2, n=DEMO_N_LIMIT + 2), f"exceeds the demo limit {DEMO_N_LIMIT}"),
-    ("identities", dict(n=6, h=2), None),
-    ("identities", dict(n=7, h=2), "n=7 must be divisible by h=2"),
-    ("identities", dict(n=4290, h=10), None),
-    ("identities", PRINTABLE_EDGE, PRINTABLE_MESSAGE),
+    *[
+        (pair, kwargs, message)
+        for pair in ("identities", "e_opt", "e_dop", "gap")
+        for kwargs, message in (
+            (dict(n=6, h=2), None),
+            (dict(n=7, h=2), "n=7 must be divisible by h=2"),
+            (dict(n=4290, h=10), None),
+            (PRINTABLE_EDGE, PRINTABLE_MESSAGE),
+            (dict(n=20000, h=10), PRINTABLE_MESSAGE),
+        )
+    ],
 ], ids=lambda value: (
     ",".join(f"{k}={v}" for k, v in value.items()) if isinstance(value, dict)
     else value or "accepted"
